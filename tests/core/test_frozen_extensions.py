@@ -1,9 +1,9 @@
 """Tests for the frozen flat-array engines of the Section V extensions
 (FrozenDirectedWCIndex / FrozenWeightedWCIndex)."""
 
-import random
-
 import pytest
+
+from tests.helpers import random_digraph, random_weighted_graph
 
 from repro.baselines.online import DirectedConstrainedBFS
 from repro.core import (
@@ -18,30 +18,6 @@ from repro.graph.weighted import WeightedGraph
 from repro.workloads.queries import random_queries
 
 INF = float("inf")
-
-
-def random_digraph(trial: int, max_n: int = 12) -> DiGraph:
-    rng = random.Random(trial)
-    n = rng.randint(2, max_n)
-    g = DiGraph(n)
-    for _ in range(rng.randint(0, 3 * n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            g.add_edge(u, v, float(rng.randint(1, 4)))
-    return g
-
-
-def random_weighted_graph(trial: int, max_n: int = 12) -> WeightedGraph:
-    rng = random.Random(trial)
-    n = rng.randint(2, max_n)
-    g = WeightedGraph(n)
-    for _ in range(rng.randint(0, 3 * n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            g.add_edge(
-                u, v, float(rng.randint(1, 9)), float(rng.randint(1, 4))
-            )
-    return g
 
 
 def thresholds(graph) -> list:
