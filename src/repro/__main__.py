@@ -41,7 +41,7 @@ Subcommands:
 * ``profile`` — print the full quality/distance Pareto staircase of a pair.
 * ``stats``   — index statistics (entries, max label, modelled bytes; adds
   the real frozen footprint, format version and per-section byte sizes
-  for ``.wcxb`` files).
+  for ``.wcxb`` v3 images — a v1/v2 image fails with a format error).
 * ``verify``  — check a saved index against its graph (small graphs).
 
 Example::
@@ -236,8 +236,8 @@ def _cache_entries(args) -> int:
 def _cache_for(path: str, entries: int):
     """An :class:`~repro.serve.cache.AnswerCache` keyed from the index
     at ``path`` (the keyer needs label access the shm pool does not
-    expose; binary images read-load, legacy formats load the list
-    engine directly)."""
+    expose; binary images read-load, text indexes load the list engine
+    directly)."""
     from .serve import AnswerCache
 
     engine = (
@@ -1289,8 +1289,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("t", type=int)
     p_profile.set_defaults(func=_cmd_profile)
 
-    p_stats = sub.add_parser("stats", help="index statistics")
-    p_stats.add_argument("--index", required=True)
+    p_stats = sub.add_parser(
+        "stats",
+        help="index statistics (.wcxb: v3 images only; v1/v2 are rejected)",
+    )
+    p_stats.add_argument(
+        "--index",
+        required=True,
+        help="text index, or .wcxb v3 image (reports the layout and delta chain)",
+    )
     p_stats.set_defaults(func=_cmd_stats)
 
     p_verify = sub.add_parser(

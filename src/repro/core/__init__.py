@@ -3,9 +3,12 @@
 * :class:`WCIndex` + :class:`WCIndexBuilder` /
   :func:`build_wc_index` / :func:`build_wc_index_plus` — the undirected
   unweighted index (Sections IV).
-* :class:`FrozenWCIndex` / :class:`FrozenDirectedWCIndex` /
-  :class:`FrozenWeightedWCIndex` — the immutable buffer-backed flat-array
-  query engines (``freeze()`` / ``thaw()`` on every list engine);
+* :class:`FrozenIndex` — the one immutable buffer-backed flat-array
+  query engine, two-sided (``L_out`` answers ``s``, ``L_in`` answers
+  ``t``; symmetric families share one side), with the family subclasses
+  :class:`FrozenWCIndex` / :class:`FrozenDirectedWCIndex` /
+  :class:`FrozenWeightedWCIndex` (``freeze()`` / ``thaw()`` on every
+  list engine);
   variant-tagged binary ``.wcxb`` persistence via :func:`save_frozen` /
   :func:`load_frozen` (``mode="mmap"`` attaches zero-copy), plus
   :func:`attach_frozen` over arbitrary buffers and shared-memory serving
@@ -33,6 +36,7 @@ from .dynamic import DynamicWCIndex
 from .frozen import (
     BYTES_PER_GROUP,
     FrozenDirectedWCIndex,
+    FrozenIndex,
     FrozenWCIndex,
     FrozenWeightedWCIndex,
 )
@@ -96,6 +100,7 @@ from .weighted import WeightedWCIndex, constrained_dijkstra
 
 __all__ = [
     "WCIndex",
+    "FrozenIndex",
     "FrozenWCIndex",
     "WCIndexBuilder",
     "ConstructionStats",

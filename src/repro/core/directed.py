@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.digraph import DiGraph
+from .frozen import DIRECTED
 from .query import group_end, merge_linear
 
 INF = float("inf")
@@ -29,6 +30,9 @@ def degree_order_directed(graph: DiGraph) -> List[int]:
 
 class DirectedWCIndex:
     """2-hop labeling for quality constrained distances on digraphs."""
+
+    #: The index family (shared with the frozen engine).
+    family = DIRECTED
 
     def __init__(
         self,

@@ -4,49 +4,55 @@ A built :class:`~repro.core.labels.WCIndex` stores labels as per-vertex
 Python lists, which is what a builder wants (cheap appends, in-place
 repairs) but not what a query engine wants: every merge re-discovers hub
 group boundaries with ``group_end`` scans and chases one list object per
-vertex per side.  :class:`FrozenWCIndex` is the immutable counterpart, the
+vertex per side.  :class:`FrozenIndex` is the immutable counterpart, the
 same idea that makes pruned-landmark-labeling implementations fast —
-all labels in flat, contiguous stdlib-``array`` storage:
+all labels in flat, contiguous stdlib-``array`` storage.  One label
+side (:class:`_FlatSide`) holds:
 
 * ``hubs`` (``"i"``), ``dists`` (``"d"``), ``quals`` (``"d"``) — one global
   parallel array triple holding every entry of every vertex,
 * ``offsets`` (``"q"``, length ``n + 1``) — ``offsets[v] .. offsets[v+1]``
   is the slice of vertex ``v``,
-* a precomputed **group directory** — per vertex, the list of
+* ``parents`` — a tuple of 0, 1 or 2 entry-parallel ``"i"`` columns (BFS
+  parents, or the weighted family's ``(parent_vertex, parent_entry)``
+  pairs) when the source index tracked them,
+* a lazily built **group directory** — per vertex, the list of
   ``(hub_rank, group_start, group_end)`` triples (global positions), so
   the ``*_flat`` merge kernels step one group at a time and never scan for
   a boundary, plus a ``hub_rank -> (start, end)`` map per vertex that the
-  batch path uses to intersect the *smaller* side's groups against the
-  larger side in ``O(min)`` hash lookups,
-* ``parents`` (``"i"``, optional) — BFS parents when the source index
-  tracked them.
+  stdlib batch path uses to intersect the *smaller* side's groups against
+  the larger side in ``O(min)`` hash lookups.
 
-Every flat store is **buffer-backed**: :class:`_FlatSide` holds typed
-``memoryview`` objects (obtained via ``memoryview.cast``) over whatever buffer
-supplied the data — owned ``array`` objects materialized by ``freeze()``,
-an ``mmap`` of a ``.wcxb`` v3 file, or a ``multiprocessing.shared_memory``
+The engine is **two-sided**: a query ``(s, t, w)`` merges the out side
+of ``s`` against the in side of ``t``.  The directed family keeps
+separate ``L_out`` / ``L_in`` sides; the undirected and weighted
+families are the symmetric case where one side answers both ``s`` and
+``t`` (the weighted side carries real-valued distances in the same
+64-bit ``"d"`` store, so the kernels apply unchanged).  What tells the
+families apart is a small :class:`Family` descriptor — variant tag,
+symmetry, parent-column names, thaw target, parent validator — and the
+three public classes :class:`FrozenWCIndex`,
+:class:`FrozenDirectedWCIndex` and :class:`FrozenWeightedWCIndex` are
+thin subclasses that set it and add their family's label accessors.
+
+Every flat store is **buffer-backed**: a side holds typed ``memoryview``
+objects (obtained via ``memoryview.cast``) over whatever buffer supplied
+the data — owned ``array`` objects materialized by ``freeze()``, an
+``mmap`` of a ``.wcxb`` file, or a ``multiprocessing.shared_memory``
 segment.  The engine never copies the label data; queries read straight
 through the views.  An engine attached to a borrowed buffer is detached
-with :meth:`release` (releases every view so the mmap / shared-memory
-segment can be closed); released engines must not be queried again.
+with :meth:`~FrozenIndex.release` (releases every view so the mmap /
+shared-memory segment can be closed); released engines must not be
+queried again.
 
 The per-entry cost is :data:`~repro.core.labels.BYTES_PER_ENTRY` bytes
-(4 + 8 + 8); :meth:`FrozenWCIndex.nbytes` reports the real total
-footprint including the offset table and directory.  Label access methods
-(:meth:`label_lists`, :meth:`distance_many`) hand out ``memoryview``
-slices of the views — views, never copies.
-
-Freezing is lossless and reversible: ``WCIndex.freeze()`` →
-``FrozenWCIndex`` → :meth:`thaw` → ``WCIndex`` round-trips every entry,
-so a frozen index can be thawed for dynamic updates and re-frozen.  The
-compact binary serialization (``.wcxb``) lives in
+(4 + 8 + 8); :meth:`~FrozenIndex.nbytes` reports the real total footprint
+including the offset tables and directories (a symmetric side counted
+once).  Freezing is lossless and reversible: ``index.freeze()`` →
+frozen engine → :meth:`~FrozenIndex.thaw` → list engine round-trips every
+entry, so a frozen index can be thawed for dynamic updates and
+re-frozen.  The compact binary serialization (``.wcxb``) lives in
 :mod:`repro.core.serialize`.
-
-The Section V extensions freeze the same way: the shared
-:class:`_FlatSide` store carries one flat label side, and
-:class:`FrozenDirectedWCIndex` (two sides, ``L_in`` / ``L_out``) /
-:class:`FrozenWeightedWCIndex` (one side, real-valued distances) answer
-through the identical ``*_flat`` kernels and the shared batch path.
 
 Batch queries (``distance_many``) run through a pluggable **kernel
 backend** (:mod:`repro.core.kernels`): the pure-Python ``stdlib``
@@ -58,15 +64,14 @@ and exposes ``kernel_backend`` / ``select_backend()``.
 
 from __future__ import annotations
 
+import importlib
 from array import array
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .kernels import resolve_backend
-from .query import (
-    MERGE_KERNELS_FLAT,
-    merge_linear_flat,
-    merge_linear_flat_with_witness,
-)
+from .query import MERGE_KERNELS_FLAT, merge_linear_flat_with_witness
 
 INF = float("inf")
 
@@ -77,6 +82,8 @@ INF = float("inf")
 HUB_TYPECODE = "i"
 VALUE_TYPECODE = "d"
 OFFSET_TYPECODE = "q"
+#: Typecodes of a side's ``hubs`` / ``dists`` / ``quals`` columns.
+_LABEL_TYPECODES = (HUB_TYPECODE, VALUE_TYPECODE, VALUE_TYPECODE)
 
 #: Modelled bytes per group-directory record: hub rank (4) plus the two
 #: 8-byte positions — what a flat ``(i, q, q)`` triple costs.
@@ -97,33 +104,153 @@ def _as_view(values, typecode: str) -> memoryview:
     return view
 
 
-class FrozenWCIndex:
-    """Immutable flat-array snapshot of a :class:`WCIndex`.
+def _check_parent_ids(n: int, offsets, columns) -> None:
+    """BFS parents: every id in ``[-1, n)``."""
+    for parent in columns[0]:
+        if not -1 <= parent < n:
+            raise ValueError(f"parent id {parent} out of range [-1, {n})")
 
-    Answers the same queries through the same kernel line-up, but over the
-    frozen layout; construct via :meth:`freeze` (or
-    ``WCIndex.freeze()``), never directly from user code.
+
+def _check_parent_pairs(n: int, offsets, columns) -> None:
+    """Weighted parents are ``(vertex, entry_index)`` pairs: the vertex in
+    range, and the entry index addressing an existing entry of that
+    parent's label (or ``(-1, -1)`` for a hub's self entry)."""
+    parent_vertices, parent_entries = columns
+    for i in range(len(parent_vertices)):
+        parent = parent_vertices[i]
+        entry = parent_entries[i]
+        if not -1 <= parent < n:
+            raise ValueError(f"parent vertex {parent} out of range [-1, {n})")
+        if parent < 0:
+            continue
+        if not 0 <= entry < offsets[parent + 1] - offsets[parent]:
+            raise ValueError(
+                f"parent entry index {entry} out of range for vertex {parent}"
+            )
+
+
+@dataclass(frozen=True)
+class Family:
+    """What distinguishes one index family's frozen engine.
+
+    ``variant`` is the ``.wcxb`` header tag; a ``symmetric`` family has
+    one label side answering both endpoints, the directed family an
+    ``in_`` and an ``out_`` side (in that file order).
+    ``parent_columns`` names a side's entry-parallel parent columns;
+    the list engine exposes them per vertex through ``parent_accessor``
+    (one value per entry for one column, a tuple for more).
+    ``thaw_target`` is the list engine (``"module.Class"`` under
+    :mod:`repro.core`) and ``validate_parents(n, offsets, columns)``
+    raises ``ValueError`` on parent columns the family cannot hold.
     """
 
-    __slots__ = ("order", "rank", "_side", "_backend")
+    variant: int
+    name: str
+    symmetric: bool
+    parent_columns: Tuple[str, ...]
+    parent_accessor: str
+    thaw_target: str
+    validate_parents: Callable
+
+    @property
+    def side_prefixes(self) -> Tuple[str, ...]:
+        """Per-side accessor / section-name prefixes, in file order."""
+        return ("",) if self.symmetric else ("in_", "out_")
+
+    def side_sources(self, index):
+        """Per side of the list engine ``index``, in file order:
+        ``(label_lists, parents)`` callables of a vertex — ``parents``
+        yields one sequence per parent column (``None`` without parent
+        tracking)."""
+        width = len(self.parent_columns)
+        sources = []
+        for prefix in self.side_prefixes:
+            parents = None
+            if index.tracks_parents:
+                accessor = getattr(index, prefix + self.parent_accessor)
+                parents = partial(_parent_columns, accessor, width)
+            sources.append((getattr(index, prefix + "label_lists"), parents))
+        return sources
+
+
+UNDIRECTED = Family(
+    variant=0, name="undirected", symmetric=True,
+    parent_columns=("parents",), parent_accessor="parent_list",
+    thaw_target="labels.WCIndex", validate_parents=_check_parent_ids,
+)
+DIRECTED = Family(
+    variant=1, name="directed", symmetric=False,
+    parent_columns=("parents",), parent_accessor="parent_list",
+    thaw_target="directed.DirectedWCIndex", validate_parents=_check_parent_ids,
+)
+WEIGHTED = Family(
+    variant=2, name="weighted", symmetric=True,
+    parent_columns=("parent_vertices", "parent_entries"),
+    parent_accessor="parent_pairs",
+    thaw_target="weighted.WeightedWCIndex",
+    validate_parents=_check_parent_pairs,
+)
+#: Every family by ``.wcxb`` variant tag.
+FAMILIES = {family.variant: family for family in (UNDIRECTED, DIRECTED, WEIGHTED)}
+
+
+def _parent_columns(accessor, width: int, v: int):
+    """Vertex ``v``'s parent entries, as the list engine's ``accessor``
+    returns them, split into ``width`` column sequences."""
+    raw = accessor(v)
+    if width == 1:
+        return (raw,)
+    return tuple(zip(*raw)) or ((),) * width
+
+
+def _join_parents(columns, start: int, stop: int) -> list:
+    """The inverse of :func:`_parent_columns` over one vertex's slice."""
+    if len(columns) == 1:
+        return list(columns[0][start:stop])
+    return list(zip(*(column[start:stop] for column in columns)))
+
+
+class FrozenIndex:
+    """Immutable flat-array snapshot of a list-backed index.
+
+    ``FrozenIndex(order, out_side, in_side=None)``: ``in_side=None``
+    means symmetric — the one side answers both ``s`` and ``t``.  Use
+    the family subclasses; construct via ``freeze`` (or the list
+    engine's ``freeze()``), never directly from user code.
+    """
+
+    #: The index family; every concrete subclass sets it.
+    family: Family
+
+    __slots__ = ("order", "rank", "_out", "_in", "_backend")
 
     def __init__(
         self,
         order: Sequence[int],
-        offsets,
-        hubs,
-        dists,
-        quals,
-        parents=None,
+        out_side: "_FlatSide",
+        in_side: Optional["_FlatSide"] = None,
         backend=None,
     ) -> None:
+        family = self.family
+        if (in_side is None) != family.symmetric:
+            raise ValueError(
+                f"a {family.name} engine takes "
+                f"{'one label side' if family.symmetric else 'two label sides'}"
+            )
+        self._out = out_side
+        self._in = out_side if in_side is None else in_side
         n = len(order)
-        # The side validates the array shapes and owns the lazily built
-        # directory views, so loading a frozen image (e.g.
-        # load_frozen(..., validate=False)) stays at raw array-read
-        # speed, and consumers that never query — or never batch — do
-        # not pay for structures they do not touch.
-        self._side = _FlatSide(n, offsets, hubs, dists, quals, parents)
+        for side in self.sides():
+            if len(side.offsets) != n + 1:
+                raise ValueError("label sides disagree with the vertex order")
+            if len(side.parents) not in (0, len(family.parent_columns)):
+                raise ValueError(
+                    f"a {family.name} side carries "
+                    f"{len(family.parent_columns)} parent column(s), "
+                    f"got {len(side.parents)}"
+                )
+        if len(self._in.parents) != len(self._out.parents):
+            raise ValueError("parent tracking must match on both sides")
         self._backend = resolve_backend(backend)
         self.order: List[int] = list(order)
         self.rank: List[int] = [0] * n
@@ -134,39 +261,40 @@ class FrozenWCIndex:
     # Freezing / thawing
     # ------------------------------------------------------------------
     @classmethod
-    def freeze(cls, index, backend=None) -> "FrozenWCIndex":
-        """Snapshot a list-backed :class:`WCIndex` into flat storage."""
-        side = _FlatSide.from_lists(
-            index.num_vertices,
-            index.label_lists,
-            index.parent_list if index.tracks_parents else None,
-        )
-        return cls(index.order, *side.raw_arrays(), backend=backend)
+    def from_sides(cls, order: Sequence[int], sides, backend=None):
+        """Build from label sides in file order (``L_in`` before
+        ``L_out`` for the directed family)."""
+        *in_side, out_side = sides
+        return cls(order, out_side, *in_side, backend=backend)
+
+    @classmethod
+    def freeze(cls, index, backend=None):
+        """Snapshot a list-backed index of this family into flat storage."""
+        n = index.num_vertices
+        width = len(cls.family.parent_columns)
+        sides = [
+            _FlatSide.from_lists(n, labels, parents, width)
+            for labels, parents in cls.family.side_sources(index)
+        ]
+        return cls.from_sides(index.order, sides, backend=backend)
 
     def thaw(self):
-        """Expand back into a mutable list-backed :class:`WCIndex` (for
-        dynamic updates); ``freeze(thaw(f))`` reproduces ``f`` exactly."""
-        from .labels import WCIndex
-
-        hub_lists, dist_lists, qual_lists, parent_lists = self._side.to_lists()
-        return WCIndex.from_label_lists(
-            self.order, hub_lists, dist_lists, qual_lists, parent_lists
-        )
+        """Expand back into the family's mutable list engine (for dynamic
+        updates); ``freeze(thaw(f))`` reproduces ``f`` exactly."""
+        module, name = self.family.thaw_target.rsplit(".", 1)
+        target = getattr(importlib.import_module("." + module, __package__), name)
+        lists = [side.to_lists() for side in self.sides()]
+        labels = [column for side in lists for column in side[:3]]
+        parents = [side[3] for side in lists]
+        return target.from_label_lists(self.order, *labels, *parents)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def distance(self, s: int, t: int, w: float) -> float:
-        """w-constrained distance via the flat Query+ merge (Alg. 5)."""
-        self._check_vertex(s)
-        self._check_vertex(t)
-        side = self._side
-        directory = side.directory()
-        return merge_linear_flat(
-            directory[s], side.dists, side.quals,
-            directory[t], side.dists, side.quals,
-            w,
-        )
+        """w-constrained distance ``s -> t`` via the flat Query+ merge
+        (Alg. 5) of the out side of ``s`` and the in side of ``t``."""
+        return self.distance_with(s, t, w, "linear")
 
     def distance_with(self, s: int, t: int, w: float, kernel: str) -> float:
         """w-constrained distance using a named flat kernel
@@ -180,49 +308,51 @@ class FrozenWCIndex:
                 f"unknown kernel {kernel!r}; "
                 f"choose from {sorted(MERGE_KERNELS_FLAT)}"
             ) from None
-        side = self._side
-        directory = side.directory()
+        out, inn = self._out, self._in
         return merge(
-            directory[s], side.dists, side.quals,
-            directory[t], side.dists, side.quals,
+            out.directory()[s], out.dists, out.quals,
+            inn.directory()[t], inn.dists, inn.quals,
             w,
         )
 
     def distance_with_witness(
         self, s: int, t: int, w: float
     ) -> Tuple[float, int, int]:
-        """Distance plus the winning entry indexes *within* ``L(s)`` /
-        ``L(t)`` — same local-index contract as the list engine."""
+        """Distance plus the winning entry indexes *within* the labels of
+        ``s`` / ``t`` — same local-index contract as the list engine."""
         self._check_vertex(s)
         self._check_vertex(t)
-        side = self._side
-        directory = side.directory()
+        out, inn = self._out, self._in
         best, a, b = merge_linear_flat_with_witness(
-            directory[s], side.dists, side.quals,
-            directory[t], side.dists, side.quals,
+            out.directory()[s], out.dists, out.quals,
+            inn.directory()[t], inn.dists, inn.quals,
             w,
         )
         if a < 0:
             return best, -1, -1
-        offsets = side.offsets
-        return best, a - offsets[s], b - offsets[t]
+        return best, a - out.offsets[s], b - inn.offsets[t]
 
     def reachable(self, s: int, t: int, w: float) -> bool:
-        """Whether any w-path connects ``s`` and ``t``."""
+        """Whether any w-path leads from ``s`` to ``t``."""
         return self.distance(s, t, w) != INF
 
     def distance_many(self, queries) -> List[float]:
         """Answer a batch of ``(s, t, w)`` queries over the frozen layout.
 
-        The hot path of the frozen engine: the batch runs through the
-        selected kernel backend (see :mod:`repro.core.kernels`) — the
-        stdlib hash-intersection merge or the vectorized numpy kernels —
-        over per-side state cached on the flat store.  Answers are
-        bit-identical across backends.
+        The hot path of the engine: the batch runs through the selected
+        kernel backend (see :mod:`repro.core.kernels`) — the stdlib
+        hash-intersection merge or the vectorized numpy kernels — over
+        per-side state cached on the flat stores (out side for sources,
+        in side for targets).  Answers are bit-identical across
+        backends.
         """
         backend = self._backend
-        state = self._side.kernel_state(backend)
-        return backend.batch(queries, state, state, len(self.order))
+        return backend.batch(
+            queries,
+            self._out.kernel_state(backend),
+            self._in.kernel_state(backend),
+            len(self.order),
+        )
 
     # ------------------------------------------------------------------
     # Kernel backend selection
@@ -232,7 +362,7 @@ class FrozenWCIndex:
         """Name of the active kernel backend (``"stdlib"`` / ``"numpy"``)."""
         return self._backend.name
 
-    def select_backend(self, backend) -> "FrozenWCIndex":
+    def select_backend(self, backend) -> "FrozenIndex":
         """Switch the engine's kernel backend (``"auto"`` / ``"stdlib"``
         / ``"numpy"`` or a backend instance); returns ``self``.  Raises
         :class:`~repro.core.kernels.KernelUnavailableError` when an
@@ -249,89 +379,147 @@ class FrozenWCIndex:
 
     @property
     def tracks_parents(self) -> bool:
-        return self._side.parents is not None
+        return bool(self._out.parents)
 
-    def label_lists(self, v: int):
-        """Zero-copy ``memoryview`` slices ``(hub_ranks, dists, quals)`` of
-        vertex ``v``'s entries in the global arrays."""
-        self._check_vertex(v)
-        return self._side.label_slices(v)
+    def sides(self) -> Tuple["_FlatSide", ...]:
+        """The distinct label sides in file order: one for a symmetric
+        family, ``(L_in, L_out)`` for the directed one."""
+        if self._in is self._out:
+            return (self._out,)
+        return (self._in, self._out)
 
-    def parent_list(self, v: int):
-        side = self._side
-        if side.parents is None:
-            raise ValueError("index was built without parent tracking")
-        self._check_vertex(v)
-        return side.parents[side.offsets[v]:side.offsets[v + 1]]
-
-    def raw_arrays(self):
-        """The canonical flat views ``(offsets, hubs, dists, quals,
-        parents)`` — ``parents`` is ``None`` without parent tracking.
-        Exposed for serialization and tests; callers must not mutate."""
-        return self._side.raw_arrays()
+    def raw_sides(self):
+        """Per side (file order), the canonical flat views ``(offsets,
+        hubs, dists, quals, *parent_columns)``.  Exposed for
+        serialization and tests; callers must not mutate."""
+        return tuple(side.raw_arrays() for side in self.sides())
 
     def release(self) -> None:
         """Detach from the backing buffer: release every view so an mmap
         or shared-memory segment can be closed.  The engine must not be
         queried afterwards."""
-        self._side.release()
+        for side in self.sides():
+            side.release()
 
     def group_directory(self, v: int) -> List[Tuple[int, int, int]]:
-        """The precomputed ``(hub_rank, start, end)`` triples of ``v``
-        (global positions into the flat arrays)."""
+        """The precomputed ``(hub_rank, start, end)`` triples of ``v``'s
+        out side (global positions into the flat arrays)."""
         self._check_vertex(v)
-        return list(self._side.directory()[v])
-
-    def entries_of(self, v: int) -> List[Tuple[int, float, float]]:
-        """Label set of ``v`` as ``(hub_vertex, dist, quality)`` triples."""
-        hubs, dists, quals = self.label_lists(v)
-        order = self.order
-        return [(order[h], d, q) for h, d, q in zip(hubs, dists, quals)]
-
-    def iter_entries(self) -> Iterator[Tuple[int, int, float, float]]:
-        """All entries as ``(vertex, hub_vertex, dist, quality)``."""
-        order = self.order
-        side = self._side
-        offsets = side.offsets
-        hubs, dists, quals = side.hubs, side.dists, side.quals
-        for v in range(self.num_vertices):
-            for i in range(offsets[v], offsets[v + 1]):
-                yield (v, order[hubs[i]], dists[i], quals[i])
+        return list(self._out.directory()[v])
 
     def label_size(self, v: int) -> int:
         self._check_vertex(v)
-        return self._side.label_size(v)
+        return sum(side.label_size(v) for side in self.sides())
 
     def entry_count(self) -> int:
-        return self._side.entry_count()
+        return sum(side.entry_count() for side in self.sides())
 
     def max_label_size(self) -> int:
-        return self._side.max_label_size()
+        return max(side.max_label_size() for side in self.sides())
 
     def group_count(self) -> int:
-        """Total number of hub groups across all vertices."""
-        return self._side.group_count()
+        """Total number of hub groups across all vertices and sides."""
+        return sum(side.group_count() for side in self.sides())
 
     def nbytes(self) -> int:
         """Actual frozen footprint: the flat arrays plus the group
-        directory modelled at flat-array rates (:data:`BYTES_PER_GROUP`
-        per group plus one offset per vertex)."""
-        return self._side.nbytes()
+        directories modelled at flat-array rates (:data:`BYTES_PER_GROUP`
+        per group plus one offset per vertex), each side counted once."""
+        return sum(side.nbytes() for side in self.sides())
 
     def size_bytes(self) -> int:
-        """Alias for :meth:`nbytes` (``WCIndex`` API parity)."""
+        """Alias for :meth:`nbytes` (list-engine API parity)."""
         return self.nbytes()
 
     def __repr__(self) -> str:
         return (
-            f"FrozenWCIndex(n={self.num_vertices}, "
-            f"entries={self.entry_count()}, groups={self.group_count()}, "
-            f"{self.nbytes()} bytes)"
+            f"{type(self).__name__}(n={self.num_vertices}, "
+            f"entries={self.entry_count()}, {self.nbytes()} bytes)"
         )
+
+    def _entries(self, side: "_FlatSide", v: int) -> List[Tuple[int, float, float]]:
+        """``side``'s label of ``v`` as ``(hub_vertex, dist, quality)``."""
+        self._check_vertex(v)
+        hubs, dists, quals = side.label_slices(v)
+        order = self.order
+        return [(order[h], d, q) for h, d, q in zip(hubs, dists, quals)]
+
+    def _parents(self, v: int):
+        """The parent-column slices of ``v`` (out side)."""
+        side = self._out
+        if not side.parents:
+            raise ValueError("index was built without parent tracking")
+        self._check_vertex(v)
+        start, stop = side.offsets[v], side.offsets[v + 1]
+        return [column[start:stop] for column in side.parents]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self.order):
             raise ValueError(f"vertex {v} out of range [0, {len(self.order)})")
+
+
+class FrozenWCIndex(FrozenIndex):
+    """Frozen engine of the undirected :class:`~repro.core.labels.WCIndex`."""
+
+    family = UNDIRECTED
+    __slots__ = ()
+
+    def label_lists(self, v: int):
+        """Zero-copy ``memoryview`` slices ``(hub_ranks, dists, quals)`` of
+        vertex ``v``'s entries in the global arrays."""
+        self._check_vertex(v)
+        return self._out.label_slices(v)
+
+    def entries_of(self, v: int) -> List[Tuple[int, float, float]]:
+        """Label set of ``v`` as ``(hub_vertex, dist, quality)`` triples."""
+        return self._entries(self._out, v)
+
+    def parent_list(self, v: int):
+        return self._parents(v)[0]
+
+    def iter_entries(self) -> Iterator[Tuple[int, int, float, float]]:
+        """All entries as ``(vertex, hub_vertex, dist, quality)``."""
+        for v in range(self.num_vertices):
+            for hub, dist, quality in self.entries_of(v):
+                yield (v, hub, dist, quality)
+
+
+class FrozenDirectedWCIndex(FrozenIndex):
+    """Frozen engine of :class:`~repro.core.directed.DirectedWCIndex`: two
+    sides, ``L_in`` and ``L_out``, over one vertex order."""
+
+    family = DIRECTED
+    __slots__ = ()
+
+    def in_entries_of(self, v: int) -> List[Tuple[int, float, float]]:
+        """``L_in(v)`` as ``(hub_vertex, dist, quality)`` triples."""
+        return self._entries(self._in, v)
+
+    def out_entries_of(self, v: int) -> List[Tuple[int, float, float]]:
+        """``L_out(v)`` as ``(hub_vertex, dist, quality)`` triples."""
+        return self._entries(self._out, v)
+
+
+class FrozenWeightedWCIndex(FrozenIndex):
+    """Frozen engine of :class:`~repro.core.weighted.WeightedWCIndex`:
+    real-valued distances, ``(parent_vertex, parent_entry)`` parents."""
+
+    family = WEIGHTED
+    __slots__ = ()
+
+    label_lists = FrozenWCIndex.label_lists
+    entries_of = FrozenWCIndex.entries_of
+
+    def parent_pairs(self, v: int) -> List[Tuple[int, int]]:
+        """``(parent_vertex, parent_entry_index)`` pairs of vertex ``v``."""
+        return list(zip(*self._parents(v)))
+
+
+#: Frozen engine class of every family, by ``.wcxb`` variant tag.
+ENGINES = {
+    engine.family.variant: engine
+    for engine in (FrozenWCIndex, FrozenDirectedWCIndex, FrozenWeightedWCIndex)
+}
 
 
 def spliced_offsets(old_offsets, new_sizes) -> array:
@@ -407,28 +595,26 @@ def splice_label_side(
     ``replacements`` (``vertex -> (hubs, dists, quals)`` parallel
     sequences) swapped in.
 
-    ``parent_replacements`` must cover the same vertices when the side
-    tracks parents.  The result owns its arrays and is bit-identical to
-    freezing the equivalent list index from scratch.
+    ``parent_replacements`` (``vertex -> one sequence per parent
+    column``) must cover the same vertices when the side tracks parents.
+    The result owns its arrays and is bit-identical to freezing the
+    equivalent list index from scratch.
     """
     n = len(old_side.offsets) - 1
-    sizes = {v: len(triple[0]) for v, triple in replacements.items()}
-    offsets = spliced_offsets(old_side.offsets, sizes)
     old_offsets = old_side.offsets
-    hubs = splice_column(
-        old_offsets, old_side.hubs, HUB_TYPECODE,
-        {v: triple[0] for v, triple in replacements.items()},
+    offsets = spliced_offsets(
+        old_offsets, {v: len(triple[0]) for v, triple in replacements.items()}
     )
-    dists = splice_column(
-        old_offsets, old_side.dists, VALUE_TYPECODE,
-        {v: triple[1] for v, triple in replacements.items()},
-    )
-    quals = splice_column(
-        old_offsets, old_side.quals, VALUE_TYPECODE,
-        {v: triple[2] for v, triple in replacements.items()},
-    )
-    parents = None
-    if old_side.parents is not None:
+    columns = [
+        splice_column(
+            old_offsets, column, typecode,
+            {v: triple[i] for v, triple in replacements.items()},
+        )
+        for i, (column, typecode) in enumerate(
+            zip(old_side.raw_arrays()[1:4], _LABEL_TYPECODES)
+        )
+    ]
+    if old_side.parents:
         if parent_replacements is None or sorted(
             parent_replacements
         ) != sorted(replacements):
@@ -436,10 +622,14 @@ def splice_label_side(
                 "parent replacements must cover exactly the replaced "
                 "vertices of a parent-tracking side"
             )
-        parents = splice_column(
-            old_offsets, old_side.parents, HUB_TYPECODE, parent_replacements
-        )
-    return _FlatSide(n, offsets, hubs, dists, quals, parents)
+        columns += [
+            splice_column(
+                old_offsets, column, HUB_TYPECODE,
+                {v: chunks[i] for v, chunks in parent_replacements.items()},
+            )
+            for i, column in enumerate(old_side.parents)
+        ]
+    return _FlatSide(n, offsets, *columns)
 
 
 def _build_directory(
@@ -466,14 +656,14 @@ def _build_directory(
 
 class _FlatSide:
     """One flat label store: the global parallel view triple, its offset
-    table, optional parents, and the lazily built group directory plus
+    table, the parent columns, and the lazily built group directory plus
     ``hub_rank -> (start, end)`` map.
 
-    The single source of truth for the flat layout: the undirected and
-    weighted engines own one side each, the directed engine two
-    (``L_in`` / ``L_out``).  Storage is typed ``memoryview``\\s over
-    whatever buffer the caller supplies (owned arrays, an mmap, a
-    shared-memory segment) — the side never copies label data.
+    The single source of truth for the flat layout: a symmetric engine
+    owns one side, the directed engine two (``L_in`` / ``L_out``).
+    Storage is typed ``memoryview``\\s over whatever buffer the caller
+    supplies (owned arrays, an mmap, a shared-memory segment) — the side
+    never copies label data.
     """
 
     __slots__ = (
@@ -487,21 +677,12 @@ class _FlatSide:
         "_kernel_states",
     )
 
-    def __init__(
-        self,
-        n: int,
-        offsets,
-        hubs,
-        dists,
-        quals,
-        parents=None,
-    ) -> None:
+    def __init__(self, n: int, offsets, hubs, dists, quals, *parents) -> None:
         offsets = _as_view(offsets, OFFSET_TYPECODE)
         hubs = _as_view(hubs, HUB_TYPECODE)
         dists = _as_view(dists, VALUE_TYPECODE)
         quals = _as_view(quals, VALUE_TYPECODE)
-        if parents is not None:
-            parents = _as_view(parents, HUB_TYPECODE)
+        parents = tuple(_as_view(column, HUB_TYPECODE) for column in parents)
         if len(offsets) != n + 1:
             raise ValueError(
                 f"offsets must have {n + 1} entries, got {len(offsets)}"
@@ -509,8 +690,8 @@ class _FlatSide:
         total = offsets[n] if n else 0
         if not (len(hubs) == len(dists) == len(quals) == total):
             raise ValueError("hub/dist/quality arrays disagree with offsets")
-        if parents is not None and len(parents) != total:
-            raise ValueError("parents array disagrees with offsets")
+        if any(len(column) != total for column in parents):
+            raise ValueError("parent columns disagree with offsets")
         self.offsets = offsets
         self.hubs = hubs
         self.dists = dists
@@ -527,12 +708,8 @@ class _FlatSide:
         # backend's frombuffer arrays do) — drop them first, or
         # memoryview.release() raises BufferError.
         self._kernel_states = {}
-        self.offsets.release()
-        self.hubs.release()
-        self.dists.release()
-        self.quals.release()
-        if self.parents is not None:
-            self.parents.release()
+        for view in self.raw_arrays():
+            view.release()
         self._directory = None
         self._hub_map = None
 
@@ -542,23 +719,28 @@ class _FlatSide:
         n: int,
         label_lists,
         parent_lists=None,
+        width: int = 1,
     ) -> "_FlatSide":
         """Flatten per-vertex parallel lists; ``label_lists(v)`` returns
-        ``(hubs, dists, quals)``, ``parent_lists(v)`` a parent list."""
+        ``(hubs, dists, quals)``, ``parent_lists(v)`` one sequence per
+        parent column (``width`` of them)."""
         offsets = array(OFFSET_TYPECODE, [0] * (n + 1))
         hubs = array(HUB_TYPECODE)
         dists = array(VALUE_TYPECODE)
         quals = array(VALUE_TYPECODE)
-        parents = array(HUB_TYPECODE) if parent_lists is not None else None
+        parents = []
+        if parent_lists is not None:
+            parents = [array(HUB_TYPECODE) for _ in range(width)]
         for v in range(n):
             hubs_v, dists_v, quals_v = label_lists(v)
             offsets[v + 1] = offsets[v] + len(hubs_v)
             hubs.extend(hubs_v)
             dists.extend(dists_v)
             quals.extend(quals_v)
-            if parents is not None:
-                parents.extend(parent_lists(v))
-        return cls(n, offsets, hubs, dists, quals, parents)
+            if parents:
+                for column, values in zip(parents, parent_lists(v)):
+                    column.extend(values)
+        return cls(n, offsets, hubs, dists, quals, *parents)
 
     def directory(self) -> List[List[Tuple[int, int, int]]]:
         groups = self._directory
@@ -594,16 +776,18 @@ class _FlatSide:
         )
 
     def to_lists(self):
-        """Expand back into per-vertex Python lists (for thawing)."""
+        """Expand back into per-vertex Python lists (for thawing); parents
+        in the list engine's shape (``None`` without tracking)."""
         offsets = self.offsets
         n = len(offsets) - 1
         hubs = [list(self.hubs[offsets[v]:offsets[v + 1]]) for v in range(n)]
         dists = [list(self.dists[offsets[v]:offsets[v + 1]]) for v in range(n)]
         quals = [list(self.quals[offsets[v]:offsets[v + 1]]) for v in range(n)]
         parents = None
-        if self.parents is not None:
+        if self.parents:
             parents = [
-                list(self.parents[offsets[v]:offsets[v + 1]]) for v in range(n)
+                _join_parents(self.parents, offsets[v], offsets[v + 1])
+                for v in range(n)
             ]
         return hubs, dists, quals, parents
 
@@ -625,430 +809,11 @@ class _FlatSide:
 
     def nbytes(self) -> int:
         """Flat arrays plus the group directory at flat-array rates."""
-        total = (
-            self.offsets.itemsize * len(self.offsets)
-            + self.hubs.itemsize * len(self.hubs)
-            + self.dists.itemsize * len(self.dists)
-            + self.quals.itemsize * len(self.quals)
-        )
-        if self.parents is not None:
-            total += self.parents.itemsize * len(self.parents)
+        total = sum(view.itemsize * len(view) for view in self.raw_arrays())
         total += BYTES_PER_GROUP * self.group_count()
         total += 8 * len(self.offsets)  # directory offset table
         return total
 
     def raw_arrays(self):
-        return (self.offsets, self.hubs, self.dists, self.quals, self.parents)
-
-
-class FrozenDirectedWCIndex:
-    """Immutable flat-array snapshot of a
-    :class:`~repro.core.directed.DirectedWCIndex`.
-
-    Two :class:`_FlatSide` stores — ``L_in`` and ``L_out`` — share the
-    vertex order (the hub-group directory of either side indexes hub
-    *ranks* of that one order).  A query ``(s, t, w)`` merges the out-side
-    directory of ``s`` against the in-side directory of ``t`` through the
-    same flat kernels as the undirected engine.  Construct via
-    :meth:`freeze` (or ``DirectedWCIndex.freeze()``).
-    """
-
-    __slots__ = ("order", "rank", "_in", "_out", "_backend")
-
-    def __init__(
-        self,
-        order: Sequence[int],
-        in_side: _FlatSide,
-        out_side: _FlatSide,
-        backend=None,
-    ) -> None:
-        n = len(order)
-        if len(in_side.offsets) != n + 1 or len(out_side.offsets) != n + 1:
-            raise ValueError("label sides disagree with the vertex order")
-        if (in_side.parents is None) != (out_side.parents is None):
-            raise ValueError("parent tracking must match on both sides")
-        self.order: List[int] = list(order)
-        self.rank: List[int] = [0] * n
-        for r, v in enumerate(self.order):
-            self.rank[v] = r
-        self._in = in_side
-        self._out = out_side
-        self._backend = resolve_backend(backend)
-
-    # ------------------------------------------------------------------
-    # Freezing / thawing
-    # ------------------------------------------------------------------
-    @classmethod
-    def freeze(cls, index, backend=None) -> "FrozenDirectedWCIndex":
-        """Snapshot a list-backed ``DirectedWCIndex`` into flat storage."""
-        n = index.num_vertices
-        tracks = index.tracks_parents
-        in_side = _FlatSide.from_lists(
-            n,
-            index.in_label_lists,
-            index.in_parent_list if tracks else None,
-        )
-        out_side = _FlatSide.from_lists(
-            n,
-            index.out_label_lists,
-            index.out_parent_list if tracks else None,
-        )
-        return cls(index.order, in_side, out_side, backend=backend)
-
-    def thaw(self):
-        """Expand back into a mutable list-backed ``DirectedWCIndex``;
-        ``freeze(thaw(f))`` reproduces ``f`` exactly."""
-        from .directed import DirectedWCIndex
-
-        in_hubs, in_dists, in_quals, in_parents = self._in.to_lists()
-        out_hubs, out_dists, out_quals, out_parents = self._out.to_lists()
-        return DirectedWCIndex.from_label_lists(
-            self.order,
-            in_hubs,
-            in_dists,
-            in_quals,
-            out_hubs,
-            out_dists,
-            out_quals,
-            in_parents,
-            out_parents,
-        )
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def distance(self, s: int, t: int, w: float) -> float:
-        """w-constrained directed distance ``s -> t`` via the flat merge
-        of ``L_out(s)`` and ``L_in(t)``."""
-        self._check_vertex(s)
-        self._check_vertex(t)
-        out = self._out
-        inn = self._in
-        return merge_linear_flat(
-            out.directory()[s],
-            out.dists,
-            out.quals,
-            inn.directory()[t],
-            inn.dists,
-            inn.quals,
-            w,
-        )
-
-    def reachable(self, s: int, t: int, w: float) -> bool:
-        """Whether any directed w-path leads from ``s`` to ``t``."""
-        return self.distance(s, t, w) != INF
-
-    def distance_many(self, queries) -> List[float]:
-        """Answer a batch of directed ``(s, t, w)`` queries through the
-        selected kernel backend (out-side for sources, in-side for
-        targets)."""
-        backend = self._backend
-        return backend.batch(
-            queries,
-            self._out.kernel_state(backend),
-            self._in.kernel_state(backend),
-            len(self.order),
-        )
-
-    # ------------------------------------------------------------------
-    # Kernel backend selection
-    # ------------------------------------------------------------------
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the active kernel backend (``"stdlib"`` / ``"numpy"``)."""
-        return self._backend.name
-
-    def select_backend(self, backend) -> "FrozenDirectedWCIndex":
-        """Switch the engine's kernel backend; returns ``self``.  See
-        :meth:`FrozenWCIndex.select_backend`."""
-        self._backend = resolve_backend(backend)
-        return self
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        return len(self.order)
-
-    @property
-    def tracks_parents(self) -> bool:
-        return self._in.parents is not None
-
-    def in_entries_of(self, v: int) -> List[Tuple[int, float, float]]:
-        """``L_in(v)`` as ``(hub_vertex, dist, quality)`` triples."""
-        self._check_vertex(v)
-        hubs, dists, quals = self._in.label_slices(v)
-        order = self.order
-        return [(order[h], d, q) for h, d, q in zip(hubs, dists, quals)]
-
-    def out_entries_of(self, v: int) -> List[Tuple[int, float, float]]:
-        """``L_out(v)`` as ``(hub_vertex, dist, quality)`` triples."""
-        self._check_vertex(v)
-        hubs, dists, quals = self._out.label_slices(v)
-        order = self.order
-        return [(order[h], d, q) for h, d, q in zip(hubs, dists, quals)]
-
-    def raw_sides(self):
-        """The canonical flat view 5-tuples ``(in_arrays, out_arrays)``
-        — each ``(offsets, hubs, dists, quals, parents)``.  Exposed for
-        serialization and tests; callers must not mutate."""
-        return self._in.raw_arrays(), self._out.raw_arrays()
-
-    def release(self) -> None:
-        """Detach both sides from their backing buffer (see
-        :meth:`FrozenWCIndex.release`)."""
-        self._in.release()
-        self._out.release()
-
-    def entry_count(self) -> int:
-        return self._in.entry_count() + self._out.entry_count()
-
-    def label_size(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._in.label_size(v) + self._out.label_size(v)
-
-    def max_label_size(self) -> int:
-        return max(self._in.max_label_size(), self._out.max_label_size())
-
-    def group_count(self) -> int:
-        return self._in.group_count() + self._out.group_count()
-
-    def nbytes(self) -> int:
-        """Actual frozen footprint of both sides (arrays + directories)."""
-        return self._in.nbytes() + self._out.nbytes()
-
-    def size_bytes(self) -> int:
-        """Alias for :meth:`nbytes` (``DirectedWCIndex`` API parity)."""
-        return self.nbytes()
-
-    def __repr__(self) -> str:
-        return (
-            f"FrozenDirectedWCIndex(n={self.num_vertices}, "
-            f"entries={self.entry_count()}, {self.nbytes()} bytes)"
-        )
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < len(self.order):
-            raise ValueError(f"vertex {v} out of range [0, {len(self.order)})")
-
-
-class FrozenWeightedWCIndex:
-    """Immutable flat-array snapshot of a
-    :class:`~repro.core.weighted.WeightedWCIndex`.
-
-    Same single-side layout as :class:`FrozenWCIndex` — the 64-bit
-    ``array("d")`` distance store carries real-valued path lengths instead
-    of hop counts, so the flat kernels apply unchanged.  Parent pointers
-    (``(parent_vertex, parent_entry_index)`` pairs in the list engine)
-    freeze into two parallel ``array("i")`` columns.  Construct via
-    :meth:`freeze` (or ``WeightedWCIndex.freeze()``).
-    """
-
-    __slots__ = (
-        "order",
-        "rank",
-        "_side",
-        "_parent_vertices",
-        "_parent_entries",
-        "_backend",
-    )
-
-    def __init__(
-        self,
-        order: Sequence[int],
-        side: _FlatSide,
-        parent_vertices=None,
-        parent_entries=None,
-        backend=None,
-    ) -> None:
-        n = len(order)
-        if len(side.offsets) != n + 1:
-            raise ValueError("label arrays disagree with the vertex order")
-        if (parent_vertices is None) != (parent_entries is None):
-            raise ValueError("parent vertex/entry arrays must come together")
-        if parent_vertices is not None:
-            parent_vertices = _as_view(parent_vertices, HUB_TYPECODE)
-            parent_entries = _as_view(parent_entries, HUB_TYPECODE)
-            total = side.entry_count()
-            if len(parent_vertices) != total or len(parent_entries) != total:
-                raise ValueError("parent arrays disagree with offsets")
-        self.order: List[int] = list(order)
-        self.rank: List[int] = [0] * n
-        for r, v in enumerate(self.order):
-            self.rank[v] = r
-        self._side = side
-        self._parent_vertices = parent_vertices
-        self._parent_entries = parent_entries
-        self._backend = resolve_backend(backend)
-
-    # ------------------------------------------------------------------
-    # Freezing / thawing
-    # ------------------------------------------------------------------
-    @classmethod
-    def freeze(cls, index, backend=None) -> "FrozenWeightedWCIndex":
-        """Snapshot a list-backed ``WeightedWCIndex`` into flat storage."""
-        n = index.num_vertices
-        side = _FlatSide.from_lists(n, index.label_lists)
-        parent_vertices = None
-        parent_entries = None
-        if index.tracks_parents:
-            parent_vertices = array(HUB_TYPECODE)
-            parent_entries = array(HUB_TYPECODE)
-            for v in range(n):
-                for parent_vertex, parent_idx in index.parent_pairs(v):
-                    parent_vertices.append(parent_vertex)
-                    parent_entries.append(parent_idx)
-        return cls(
-            index.order, side, parent_vertices, parent_entries, backend=backend
-        )
-
-    def thaw(self):
-        """Expand back into a mutable list-backed ``WeightedWCIndex``;
-        ``freeze(thaw(f))`` reproduces ``f`` exactly."""
-        from .weighted import WeightedWCIndex
-
-        hubs, dists, quals, _ = self._side.to_lists()
-        parents = None
-        if self._parent_vertices is not None:
-            offsets = self._side.offsets
-            pv, pe = self._parent_vertices, self._parent_entries
-            parents = [
-                [
-                    (pv[i], pe[i])
-                    for i in range(offsets[v], offsets[v + 1])
-                ]
-                for v in range(self.num_vertices)
-            ]
-        return WeightedWCIndex.from_label_lists(
-            self.order, hubs, dists, quals, parents
-        )
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def distance(self, s: int, t: int, w: float) -> float:
-        """w-constrained weighted distance via the flat Query+ merge."""
-        self._check_vertex(s)
-        self._check_vertex(t)
-        side = self._side
-        directory = side.directory()
-        return merge_linear_flat(
-            directory[s], side.dists, side.quals,
-            directory[t], side.dists, side.quals,
-            w,
-        )
-
-    def reachable(self, s: int, t: int, w: float) -> bool:
-        """Whether any w-path connects ``s`` and ``t``."""
-        return self.distance(s, t, w) != INF
-
-    def distance_many(self, queries) -> List[float]:
-        """Answer a batch of weighted ``(s, t, w)`` queries through the
-        selected kernel backend."""
-        backend = self._backend
-        state = self._side.kernel_state(backend)
-        return backend.batch(queries, state, state, len(self.order))
-
-    # ------------------------------------------------------------------
-    # Kernel backend selection
-    # ------------------------------------------------------------------
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the active kernel backend (``"stdlib"`` / ``"numpy"``)."""
-        return self._backend.name
-
-    def select_backend(self, backend) -> "FrozenWeightedWCIndex":
-        """Switch the engine's kernel backend; returns ``self``.  See
-        :meth:`FrozenWCIndex.select_backend`."""
-        self._backend = resolve_backend(backend)
-        return self
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        return len(self.order)
-
-    @property
-    def tracks_parents(self) -> bool:
-        return self._parent_vertices is not None
-
-    def label_lists(self, v: int):
-        """Zero-copy ``memoryview`` slices ``(hub_ranks, dists, quals)``."""
-        self._check_vertex(v)
-        return self._side.label_slices(v)
-
-    def entries_of(self, v: int) -> List[Tuple[int, float, float]]:
-        """Label set of ``v`` as ``(hub_vertex, dist, quality)`` triples."""
-        hubs, dists, quals = self.label_lists(v)
-        order = self.order
-        return [(order[h], d, q) for h, d, q in zip(hubs, dists, quals)]
-
-    def parent_pairs(self, v: int) -> List[Tuple[int, int]]:
-        """``(parent_vertex, parent_entry_index)`` pairs of vertex ``v``."""
-        if self._parent_vertices is None:
-            raise ValueError("index was built without parent tracking")
-        self._check_vertex(v)
-        offsets = self._side.offsets
-        pv, pe = self._parent_vertices, self._parent_entries
-        return [(pv[i], pe[i]) for i in range(offsets[v], offsets[v + 1])]
-
-    def raw_arrays(self):
-        """``(offsets, hubs, dists, quals, parent_vertices,
-        parent_entries)`` — the last two are ``None`` without parent
-        tracking.  Exposed for serialization and tests; callers must not
-        mutate."""
-        offsets, hubs, dists, quals, _ = self._side.raw_arrays()
-        return (
-            offsets,
-            hubs,
-            dists,
-            quals,
-            self._parent_vertices,
-            self._parent_entries,
-        )
-
-    def release(self) -> None:
-        """Detach from the backing buffer (see
-        :meth:`FrozenWCIndex.release`)."""
-        self._side.release()
-        if self._parent_vertices is not None:
-            self._parent_vertices.release()
-            self._parent_entries.release()
-
-    def entry_count(self) -> int:
-        return self._side.entry_count()
-
-    def label_size(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._side.label_size(v)
-
-    def max_label_size(self) -> int:
-        return self._side.max_label_size()
-
-    def group_count(self) -> int:
-        return self._side.group_count()
-
-    def nbytes(self) -> int:
-        """Actual frozen footprint (arrays + group directory)."""
-        total = self._side.nbytes()
-        if self._parent_vertices is not None:
-            total += self._parent_vertices.itemsize * len(self._parent_vertices)
-            total += self._parent_entries.itemsize * len(self._parent_entries)
-        return total
-
-    def size_bytes(self) -> int:
-        """Alias for :meth:`nbytes` (``WeightedWCIndex`` API parity)."""
-        return self.nbytes()
-
-    def __repr__(self) -> str:
-        return (
-            f"FrozenWeightedWCIndex(n={self.num_vertices}, "
-            f"entries={self.entry_count()}, {self.nbytes()} bytes)"
-        )
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < len(self.order):
-            raise ValueError(f"vertex {v} out of range [0, {len(self.order)})")
+        """``(offsets, hubs, dists, quals, *parent_columns)``."""
+        return (self.offsets, self.hubs, self.dists, self.quals, *self.parents)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .frozen import UNDIRECTED
 from .query import MERGE_KERNELS, merge_linear, merge_linear_with_witness
 
 INF = float("inf")
@@ -42,6 +43,9 @@ class WCIndex:
     rank:
         Inverse permutation, ``rank[vertex] = rank``.
     """
+
+    #: The index family (shared with the frozen engine).
+    family = UNDIRECTED
 
     __slots__ = (
         "order",

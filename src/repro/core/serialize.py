@@ -25,12 +25,16 @@ parsing it: a fixed little-endian header carrying a **variant tag**
 (undirected / directed / weighted), followed by a **size-stamped section
 table** (one ``(absolute byte offset, byte size)`` int64 pair per array
 section), followed by the raw little-endian arrays, every section padded
-to an **8-byte-aligned** offset.  Section line-up per variant (parent
-sections only when the parents flag is set):
+to an **8-byte-aligned** offset.  Every family is the one two-sided
+:class:`~repro.core.frozen.FrozenIndex` engine, so one layout rule
+covers all three: ``order``, then each label side of
+``engine.sides()`` in file order — ``offsets, hubs, dists, quals`` and,
+when the parents flag is set, the family's parent columns:
 
 * undirected — ``order, offsets, hubs, dists, quals[, parents]``
 * directed — ``order``, then the ``L_in`` side
-  (``offsets, hubs, dists, quals[, parents]``), then the ``L_out`` side
+  (``in_offsets, in_hubs, in_dists, in_quals[, in_parents]``), then the
+  ``L_out`` side (``out_...``)
 * weighted — ``order, offsets, hubs, dists, quals[, parent_vertices,
   parent_entries]``
 
@@ -43,12 +47,15 @@ in on demand.  The default ``mode="read"`` materializes owned arrays (one
 ``frombytes`` per section, file handle closed afterwards) with the
 section table cross-checked against the real positions, plus an optional
 (default-on) integrity scan of the kernel invariants; trusted reloads can
-disable it for raw array-read startup.  Version 1 (PR 1, undirected only)
-and version 2 (PR 3, variant tag + offset table, unaligned and
-unstamped) images are still read through the copying path.
+disable it for raw array-read startup.  Only version 3 is read: the
+version 1 (undirected, no section table) and version 2 (unaligned,
+unstamped) layouts raise :class:`IndexFormatError` naming the version.
+:func:`append_delta` appends ``WCXD`` delta blobs — per-batch dirty-vertex
+label replacements, laid out per side like the base image — that the
+loaders splice back in.
 :func:`save_index` / :func:`load_index` dispatch on the suffix
 (case-insensitive); :func:`save_frozen` / :func:`load_frozen` are the
-direct binary entry points (``load_frozen`` returns the matching frozen
+direct binary entry points (``load_frozen`` returns the family's frozen
 engine — :class:`FrozenWCIndex`, :class:`FrozenDirectedWCIndex` or
 :class:`FrozenWeightedWCIndex` — without thawing).
 :func:`describe_frozen` reports the header and per-section byte layout
@@ -67,21 +74,19 @@ from array import array
 from pathlib import Path
 from typing import BinaryIO, List, Optional, TextIO, Union
 
-from .directed import DirectedWCIndex
-from .kernels import available_backends
 from .frozen import (
+    _LABEL_TYPECODES,
+    ENGINES,
+    FAMILIES,
     HUB_TYPECODE,
     OFFSET_TYPECODE,
     VALUE_TYPECODE,
-    FrozenDirectedWCIndex,
     FrozenWCIndex,
-    FrozenWeightedWCIndex,
     _FlatSide,
-    splice_column,
     splice_label_side,
 )
+from .kernels import available_backends
 from .labels import WCIndex
-from .weighted import WeightedWCIndex
 
 PathLike = Union[str, Path]
 MAGIC = "WCINDEX"
@@ -90,9 +95,8 @@ VERSION = 1
 BINARY_MAGIC = b"WCXB"
 BINARY_VERSION = 3
 BINARY_SUFFIX = ".wcxb"
-_BINARY_PREFIX = struct.Struct("<4sH")  # magic, version (shared by v1/v2/v3)
-_BINARY_HEADER_V1 = struct.Struct("<4sHHq")  # magic, version, flags, n
-#: v2/v3 header: magic, version, variant, flags, section count, n.
+_BINARY_PREFIX = struct.Struct("<4sH")  # magic, version
+#: v3 header: magic, version, variant, flags, section count, n.
 _BINARY_HEADER = struct.Struct("<4sHHHHq")
 _FLAG_PARENTS = 1
 
@@ -117,42 +121,26 @@ _DELTA_HEADER = struct.Struct("<4sHHq")
 #: (the 16-byte header is already 8-byte aligned).
 _DELTA_TABLE_AT = 16
 
-#: Variant tags of the binary header — which index family the image holds.
-VARIANT_UNDIRECTED = 0
-VARIANT_DIRECTED = 1
-VARIANT_WEIGHTED = 2
-_VARIANT_NAMES = {
-    VARIANT_UNDIRECTED: "undirected",
-    VARIANT_DIRECTED: "directed",
-    VARIANT_WEIGHTED: "weighted",
-}
-
-_SIDE_SECTIONS = ("offsets", "hubs", "dists", "quals")
-
 
 def _align(position: int) -> int:
     """Round ``position`` up to the section alignment."""
     return (position + _ALIGNMENT - 1) & ~(_ALIGNMENT - 1)
 
 
-def _section_names(variant: int, flags: int) -> List[str]:
-    """The ordered section names of an image (module docstring layout)."""
-    with_parents = bool(flags & _FLAG_PARENTS)
-    names = ["order"]
-    if variant == VARIANT_DIRECTED:
-        for side in ("in", "out"):
-            names += [f"{side}_{name}" for name in _SIDE_SECTIONS]
-            if with_parents:
-                names.append(f"{side}_parents")
-        return names
-    names += list(_SIDE_SECTIONS)
-    if variant == VARIANT_WEIGHTED:
-        if with_parents:
-            names += ["parent_vertices", "parent_entries"]
-        return names
+def _layout(family, with_parents: bool, head: str, counts: str) -> list:
+    """``(name, typecode)`` of every section in file order: ``head``
+    (``order`` in a base image, ``ids`` in a delta blob), then per label
+    side its ``counts`` column (``offsets`` / ``sizes``), the entry
+    columns and — with parents — the family's parent columns."""
+    columns = [(counts, OFFSET_TYPECODE)]
+    columns += zip(("hubs", "dists", "quals"), _LABEL_TYPECODES)
     if with_parents:
-        names.append("parents")
-    return names
+        columns += [(name, HUB_TYPECODE) for name in family.parent_columns]
+    return [(head, OFFSET_TYPECODE)] + [
+        (prefix + name, typecode)
+        for prefix in family.side_prefixes
+        for name, typecode in columns
+    ]
 
 
 def is_binary_index_path(path: PathLike) -> bool:
@@ -342,48 +330,33 @@ def _parse_order(text: str, lineno: int, n: int) -> List[int]:
 # Binary frozen format (.wcxb)
 # ----------------------------------------------------------------------
 def _freeze_for_save(index):
-    """Normalize any supported index to ``(variant, frozen_engine)``."""
-    if isinstance(index, (WCIndex, FrozenWCIndex)):
-        variant = VARIANT_UNDIRECTED
-    elif isinstance(index, (DirectedWCIndex, FrozenDirectedWCIndex)):
-        variant = VARIANT_DIRECTED
-    elif isinstance(index, (WeightedWCIndex, FrozenWeightedWCIndex)):
-        variant = VARIANT_WEIGHTED
-    else:
+    """Normalize any supported index to its frozen engine."""
+    if getattr(index, "family", None) is None:
         raise ValueError(
             f"cannot serialize {type(index).__name__} as a frozen index"
         )
-    if isinstance(
-        index, (FrozenWCIndex, FrozenDirectedWCIndex, FrozenWeightedWCIndex)
-    ):
-        return variant, index
-    return variant, index.freeze()
+    return index if hasattr(index, "sides") else index.freeze()
 
 
-def _sections_of(variant: int, frozen) -> list:
-    """The ordered array sections of a frozen image (module docstring).
-
-    Entries are ``array`` objects or typed ``memoryview``\\s — whatever
-    the frozen engine is backed by; the writer handles both.
-    """
-    sections: list = [array(OFFSET_TYPECODE, frozen.order)]
-    if variant == VARIANT_DIRECTED:
-        for offsets, hubs, dists, quals, parents in frozen.raw_sides():
-            sections += [offsets, hubs, dists, quals]
-            if parents is not None:
-                sections.append(parents)
-        return sections
-    if variant == VARIANT_WEIGHTED:
-        offsets, hubs, dists, quals, pv, pe = frozen.raw_arrays()
-        sections += [offsets, hubs, dists, quals]
-        if pv is not None:
-            sections += [pv, pe]
-        return sections
-    offsets, hubs, dists, quals, parents = frozen.raw_arrays()
-    sections += [offsets, hubs, dists, quals]
-    if parents is not None:
-        sections.append(parents)
-    return sections
+def _write_sectioned(out: BinaryIO, header: bytes, table_at: int, sections):
+    """``header``, zero padding up to ``table_at``, the size-stamped
+    ``(offset, nbytes)`` table, then every section at an 8-byte-aligned
+    offset (offsets relative to the header's first byte)."""
+    table = array(OFFSET_TYPECODE)
+    cursor = _align(table_at + 2 * 8 * len(sections))
+    for section in sections:
+        nbytes = section.itemsize * len(section)
+        table.append(cursor)
+        table.append(nbytes)
+        cursor = _align(cursor + nbytes)
+    out.write(header)
+    out.write(b"\x00" * (table_at - len(header)))
+    _write_array(out, table)
+    written = table_at + 2 * 8 * len(sections)
+    for section, offset in zip(sections, table[0::2]):
+        out.write(b"\x00" * (offset - written))
+        _write_array(out, section)
+        written = offset + section.itemsize * len(section)
 
 
 def save_frozen(index, destination: Union[PathLike, BinaryIO]) -> None:
@@ -399,77 +372,23 @@ def save_frozen(index, destination: Union[PathLike, BinaryIO]) -> None:
         with open(destination, "wb") as handle:
             save_frozen(index, handle)
         return
-    variant, frozen = _freeze_for_save(index)
-    sections = _sections_of(variant, frozen)
-    out = destination
-    flags = _FLAG_PARENTS if frozen.tracks_parents else 0
+    frozen = _freeze_for_save(index)
+    sections = [array(OFFSET_TYPECODE, frozen.order)]
+    for side in frozen.raw_sides():
+        sections += side
     header = _BINARY_HEADER.pack(
         BINARY_MAGIC,
         BINARY_VERSION,
-        variant,
-        flags,
+        frozen.family.variant,
+        _FLAG_PARENTS if frozen.tracks_parents else 0,
         len(sections),
         frozen.num_vertices,
     )
-    table = array(OFFSET_TYPECODE)
-    cursor = _align(_TABLE_AT + 2 * 8 * len(sections))
-    for section in sections:
-        nbytes = section.itemsize * len(section)
-        table.append(cursor)
-        table.append(nbytes)
-        cursor = _align(cursor + nbytes)
-    out.write(header)
-    out.write(b"\x00" * (_TABLE_AT - len(header)))
-    _write_array(out, table)
-    written = _TABLE_AT + 2 * 8 * len(sections)
-    for section, offset in zip(sections, table[0::2]):
-        out.write(b"\x00" * (offset - written))
-        _write_array(out, section)
-        written = offset + section.itemsize * len(section)
+    _write_sectioned(destination, header, _TABLE_AT, sections)
 
 
-class _SectionReaderV2:
-    """Sequential v2 section reads cross-checked against the offset table."""
-
-    def __init__(self, data: bytes, cursor: int, table: array) -> None:
-        self._data = data
-        self._cursor = cursor
-        self._table = table
-        self._next = 0
-
-    def read(self, typecode: str, count: int) -> array:
-        index = self._next
-        if index >= len(self._table):
-            raise IndexFormatError(
-                "section table exhausted: more sections than declared"
-            )
-        expected = self._table[index]
-        if expected != self._cursor:
-            raise IndexFormatError(
-                f"section {index} offset {expected} disagrees with its "
-                f"actual position {self._cursor}"
-            )
-        values, self._cursor = _read_array(
-            self._data, self._cursor, typecode, count
-        )
-        self._next += 1
-        return values
-
-    def finish(self) -> None:
-        if self._next != len(self._table):
-            raise IndexFormatError(
-                f"section table declares {len(self._table)} sections, "
-                f"image uses {self._next}"
-            )
-        if self._cursor != len(self._data):
-            raise IndexFormatError(
-                f"trailing data after index body "
-                f"({len(self._data) - self._cursor} bytes)"
-            )
-
-
-class _SectionReaderV3:
-    """Sequential v3 section reads, cross-checked against the
+class _SectionReader:
+    """Sequential section reads, cross-checked against the
     size-stamped table — every mismatch names the offending section.
 
     ``attach=True`` returns zero-copy ``memoryview.cast`` views over the
@@ -559,103 +478,67 @@ def _read_order(reader, n: int, validate: bool) -> List[int]:
     return order
 
 
-def _read_side(reader, n: int, with_parents: bool):
-    """One label side: offsets, hubs, dists, quals (, parents)."""
+def _read_side(reader, n: int, width: int) -> tuple:
+    """One label side: offsets, hubs, dists, quals, then ``width``
+    parent columns."""
     offsets = reader.read(OFFSET_TYPECODE, n + 1)
     total = offsets[n] if n else 0
     if total < 0:
         raise IndexFormatError("negative entry count in offset table")
-    hubs = reader.read(HUB_TYPECODE, total)
-    dists = reader.read(VALUE_TYPECODE, total)
-    quals = reader.read(VALUE_TYPECODE, total)
-    parents = reader.read(HUB_TYPECODE, total) if with_parents else None
-    return offsets, hubs, dists, quals, parents
+    columns = [reader.read(typecode, total) for typecode in _LABEL_TYPECODES]
+    columns += [reader.read(HUB_TYPECODE, total) for _ in range(width)]
+    return (offsets, *columns)
 
 
-def _assemble_engine(variant, reader, n, with_parents, validate, backend=None):
-    """Read sections off ``reader`` and construct the matching engine.
-
-    Shared by every versioned loader — the reader abstracts the format
-    (v2 offset table, v3 size-stamped table, copied or attached).
-    ``backend`` selects the engine's query-kernel backend.
-    """
+def _assemble_engine(family, reader, n, with_parents, validate, backend=None):
+    """Read the base sections off ``reader`` (copied or attached) and
+    construct the family's engine with kernel backend ``backend``."""
     order = _read_order(reader, n, validate)
-
-    if variant == VARIANT_DIRECTED:
-        in_arrays = _read_side(reader, n, with_parents)
-        out_arrays = _read_side(reader, n, with_parents)
-        reader.finish()
-        if validate:
-            for side in (in_arrays, out_arrays):
-                _validate_frozen_body(n, *side)
-        try:
-            return FrozenDirectedWCIndex(
-                order,
-                _FlatSide(n, *in_arrays),
-                _FlatSide(n, *out_arrays),
-                backend=backend,
-            )
-        except (ValueError, IndexError) as exc:
-            raise IndexFormatError(
-                f"inconsistent binary index: {exc}"
-            ) from exc
-
-    if variant == VARIANT_WEIGHTED:
-        offsets, hubs, dists, quals, _ = _read_side(reader, n, False)
-        parent_vertices = None
-        parent_entries = None
-        if with_parents:
-            total = offsets[n] if n else 0
-            parent_vertices = reader.read(HUB_TYPECODE, total)
-            parent_entries = reader.read(HUB_TYPECODE, total)
-        reader.finish()
-        if validate:
-            _validate_frozen_body(n, offsets, hubs, dists, quals, None)
-            if parent_vertices is not None:
-                _validate_weighted_parents(
-                    n, offsets, parent_vertices, parent_entries
-                )
-        try:
-            return FrozenWeightedWCIndex(
-                order,
-                _FlatSide(n, offsets, hubs, dists, quals),
-                parent_vertices,
-                parent_entries,
-                backend=backend,
-            )
-        except (ValueError, IndexError) as exc:
-            raise IndexFormatError(
-                f"inconsistent binary index: {exc}"
-            ) from exc
-
-    offsets, hubs, dists, quals, parents = _read_side(reader, n, with_parents)
+    width = len(family.parent_columns) if with_parents else 0
+    sides = [_read_side(reader, n, width) for _ in family.side_prefixes]
     reader.finish()
     if validate:
-        _validate_frozen_body(n, offsets, hubs, dists, quals, parents)
+        for side in sides:
+            _validate_side(family, n, *side)
     try:
-        return FrozenWCIndex(
-            order, offsets, hubs, dists, quals, parents, backend=backend
+        return ENGINES[family.variant].from_sides(
+            order, [_FlatSide(n, *side) for side in sides], backend=backend
         )
     except (ValueError, IndexError) as exc:
         raise IndexFormatError(f"inconsistent binary index: {exc}") from exc
 
 
-def _parse_v23_header(data):
-    """Validate and unpack the shared v2/v3 header fields."""
+def _parse_header(data, action: str):
+    """Validate and unpack the v3 header: ``(family, with_parents, n,
+    section names)``.  ``action`` names the caller in the version
+    error."""
+    if len(data) < _BINARY_PREFIX.size:
+        raise IndexFormatError("truncated binary index: missing header")
+    magic, version = _BINARY_PREFIX.unpack_from(data)
+    if magic != BINARY_MAGIC:
+        raise IndexFormatError(f"bad binary magic {magic!r}")
+    if version != BINARY_VERSION:
+        raise IndexFormatError(
+            f"cannot {action} a version {version} image: only version "
+            f"{BINARY_VERSION} .wcxb images are supported; rebuild the "
+            f"index to write one"
+        )
     if len(data) < _BINARY_HEADER.size:
         raise IndexFormatError("truncated binary index: missing header")
     _, _, variant, flags, section_count, n = _BINARY_HEADER.unpack_from(data)
-    if variant not in _VARIANT_NAMES:
+    family = FAMILIES.get(variant)
+    if family is None:
         raise IndexFormatError(f"unknown index variant tag {variant}")
     if n < 0:
         raise IndexFormatError(f"negative vertex count {n}")
-    names = _section_names(variant, flags)
+    with_parents = bool(flags & _FLAG_PARENTS)
+    names = [name for name, _ in _layout(family, with_parents, "order", "offsets")]
     if section_count != len(names):
         raise IndexFormatError(
-            f"{_VARIANT_NAMES[variant]} image must have "
+            f"{family.name} image must have "
             f"{len(names)} sections, header declares {section_count}"
         )
-    return variant, flags, n, names
+    return family, with_parents, n, names
 
 
 def load_frozen(
@@ -673,19 +556,22 @@ def load_frozen(
     ``mode`` selects the storage the engine is backed by:
 
     * ``"read"`` (default) — the sections are copied into owned arrays;
-      the file can be deleted afterwards.  Reads every format version.
+      the file can be deleted afterwards.
     * ``"mmap"`` — the engine **attaches** to an ``mmap`` of the file:
       every flat store is a zero-copy typed view into the mapping, so
       attach time is near-constant in index size and pages fault in on
-      demand.  Requires a v3 image, a path (not a handle), and a
-      little-endian host; call :meth:`~FrozenWCIndex.release` on the
-      engine to let the mapping close.
+      demand.  Requires a path (not a handle) and a little-endian host;
+      call :meth:`~repro.core.frozen.FrozenIndex.release` on the engine
+      to let the mapping close.
 
-    ``validate`` (default on) additionally runs an O(entries) integrity
-    scan — offset monotonicity, hub sortedness, the Theorem 3 staircase —
-    so a corrupted file fails loudly instead of silently answering
-    queries wrongly.  Servers reloading images they themselves wrote can
-    pass ``validate=False`` to keep startup at attach / raw-read speed.
+    Only v3 images are read; a v1/v2 image raises
+    :class:`IndexFormatError` naming its version.  ``validate``
+    (default on) additionally runs an O(entries) integrity scan —
+    offset monotonicity, hub sortedness, the Theorem 3 staircase,
+    parent ranges — so a corrupted file fails loudly instead of
+    silently answering queries wrongly.  Servers reloading images they
+    themselves wrote can pass ``validate=False`` to keep startup at
+    attach / raw-read speed.
 
     ``backend`` selects the engine's query-kernel backend (``"auto"`` /
     ``"stdlib"`` / ``"numpy"``; see :mod:`repro.core.kernels`).
@@ -699,35 +585,9 @@ def load_frozen(
             return load_frozen(handle, validate=validate, backend=backend)
     if mode == "mmap":
         raise ValueError("mode='mmap' requires a file path, not a handle")
-    data = source.read()
-    if len(data) < _BINARY_PREFIX.size:
-        raise IndexFormatError("truncated binary index: missing header")
-    magic, version = _BINARY_PREFIX.unpack_from(data)
-    if magic != BINARY_MAGIC:
-        raise IndexFormatError(f"bad binary magic {magic!r}")
-    if version == 1:
-        return _load_frozen_v1(data, validate, backend)
-    if version == 2:
-        return _load_frozen_v2(data, validate, backend)
-    if version != BINARY_VERSION:
-        raise IndexFormatError(f"unsupported binary version {version}")
-    variant, flags, n, names = _parse_v23_header(data)
-    table = _read_v3_table(data, names)
-    blobs, end = _scan_delta_blobs(data, variant, flags, table)
-    if blobs:
-        if end != len(data):
-            raise IndexFormatError(
-                f"trailing data after delta chain ({len(data) - end} bytes)"
-            )
-        return _assemble_with_deltas(
-            variant, flags, n, names, table, memoryview(data), blobs,
-            validate, backend,
-        )
-    reader = _SectionReaderV3(
-        memoryview(data), names, table, attach=False, exact=True
-    )
-    return _assemble_engine(
-        variant, reader, n, bool(flags & _FLAG_PARENTS), validate, backend
+    return _engine_of_image(
+        memoryview(source.read()), attach=False, exact=True,
+        validate=validate, backend=backend,
     )
 
 
@@ -756,47 +616,49 @@ def attach_frozen(
     try:
         if base.format != "B":
             base = base.cast("B")
-        if len(base) < _BINARY_PREFIX.size:
-            raise IndexFormatError("truncated binary index: missing header")
-        magic, version = _BINARY_PREFIX.unpack_from(base)
-        if magic != BINARY_MAGIC:
-            raise IndexFormatError(f"bad binary magic {magic!r}")
-        if version != BINARY_VERSION:
-            raise IndexFormatError(
-                f"cannot attach to a version {version} image: only v3 "
-                f"sections are aligned and size-stamped; re-save with "
-                f"save_frozen or use load_frozen(..., mode='read')"
-            )
-        variant, flags, n, names = _parse_v23_header(base)
-        table = _read_v3_table(base, names)
-        blobs, end = _scan_delta_blobs(base, variant, flags, table)
-        if blobs:
-            # A delta chain must be spliced, so the engine is built from
-            # owned arrays (independent of the buffer) — correct
-            # everywhere, but no longer zero-copy; compact the image
-            # with save_frozen to restore the true attach.
-            if exact and end != len(base):
-                raise IndexFormatError(
-                    f"trailing data after delta chain "
-                    f"({len(base) - end} bytes)"
-                )
-            return _assemble_with_deltas(
-                variant, flags, n, names, table, base, blobs, validate,
-                backend,
-            )
-        reader = _SectionReaderV3(
-            base, names, table, attach=True, exact=exact
+        return _engine_of_image(
+            base, attach=True, exact=exact, validate=validate, backend=backend
         )
+    finally:
+        base.release()
+
+
+def _engine_of_image(base, *, attach, exact, validate, backend):
+    """The engine of the v3 image in ``base``: attached (zero-copy views)
+    or copied, with any appended delta chain spliced in."""
+    family, with_parents, n, names = _parse_header(
+        base, "attach to" if attach else "load"
+    )
+    table = _read_table(base, names)
+    blobs, end = _scan_delta_blobs(base, family, with_parents, table)
+    if not blobs:
+        reader = _SectionReader(base, names, table, attach=attach, exact=exact)
         try:
             return _assemble_engine(
-                variant, reader, n, bool(flags & _FLAG_PARENTS), validate,
-                backend,
+                family, reader, n, with_parents, validate, backend
             )
         except Exception:
             reader.release()
             raise
-    finally:
-        base.release()
+    # A delta chain must be spliced, so the engine is built from owned
+    # arrays (independent of the buffer) — correct everywhere, but no
+    # longer zero-copy; compact the image with save_frozen to restore
+    # the true attach.
+    if exact and end != len(base):
+        raise IndexFormatError(
+            f"trailing data after delta chain ({len(base) - end} bytes)"
+        )
+    reader = _SectionReader(base, names, table, attach=False, exact=False)
+    engine = _assemble_engine(family, reader, n, with_parents, False, backend)
+    for blob in blobs:
+        # Splicing builds a fresh engine; re-pin the requested backend.
+        engine = _apply_delta_blob(engine, blob, n).select_backend(backend)
+    if validate:
+        if sorted(engine.order) != list(range(n)):
+            raise IndexFormatError("order is not a permutation of the vertex ids")
+        for side in engine.raw_sides():
+            _validate_side(family, n, *side)
+    return engine
 
 
 def _mmap_attach(path: PathLike, validate: bool, backend=None):
@@ -817,7 +679,7 @@ def _mmap_attach(path: PathLike, validate: bool, backend=None):
         raise
 
 
-def _read_v3_table(data, names: List[str]) -> array:
+def _read_table(data, names: List[str]) -> array:
     """The ``(offset, nbytes)`` int64 pairs of the v3 section table."""
     table, _ = _read_array(data, _TABLE_AT, OFFSET_TYPECODE, 2 * len(names))
     return table
@@ -826,92 +688,12 @@ def _read_v3_table(data, names: List[str]) -> array:
 # ----------------------------------------------------------------------
 # Delta blobs (incremental refreeze)
 # ----------------------------------------------------------------------
-def _delta_section_names(variant: int, flags: int) -> List[str]:
-    """The ordered section names of one delta blob.
-
-    ``ids`` (ascending dirty vertex ids) first; per label side, the new
-    per-vertex label ``sizes`` followed by the concatenated replacement
-    entry columns, mirroring the base image's side line-up.
-    """
-    with_parents = bool(flags & _FLAG_PARENTS)
-    names = ["ids"]
-    if variant == VARIANT_DIRECTED:
-        for side in ("in", "out"):
-            names += [f"{side}_sizes", f"{side}_hubs",
-                      f"{side}_dists", f"{side}_quals"]
-            if with_parents:
-                names.append(f"{side}_parents")
-        return names
-    names += ["sizes", "hubs", "dists", "quals"]
-    if variant == VARIANT_WEIGHTED:
-        if with_parents:
-            names += ["parent_vertices", "parent_entries"]
-        return names
-    if with_parents:
-        names.append("parents")
-    return names
-
-
-def _delta_section_spec(name: str, num_dirty: int, sections) -> tuple:
-    """``(typecode, item count)`` of a delta section, given the sections
-    already read (data columns size off their side's ``sizes``)."""
-    if name == "ids" or name.endswith("sizes"):
-        return OFFSET_TYPECODE, num_dirty
-    if name.startswith("in_"):
-        total = sum(sections["in_sizes"])
-    elif name.startswith("out_"):
-        total = sum(sections["out_sizes"])
-    else:
-        total = sum(sections["sizes"])
-    if name.endswith(("dists", "quals")):
-        return VALUE_TYPECODE, total
-    return HUB_TYPECODE, total
-
-
-def _delta_column(column, offsets, typecode: str, dirty: List[int]) -> array:
+def _delta_column(column, offsets, dirty: List[int]) -> array:
     """Concatenated entries of the dirty vertices from one flat column."""
-    out = array(typecode)
+    out = array(column.format)
     for v in dirty:
         out.frombytes(bytes(column[offsets[v]:offsets[v + 1]]))
     return out
-
-
-def _delta_side_sections(side_arrays, dirty: List[int]) -> List[array]:
-    """``sizes`` plus data columns of one side, restricted to ``dirty``."""
-    offsets, hubs, dists, quals, parents = side_arrays
-    sizes = array(
-        OFFSET_TYPECODE, [offsets[v + 1] - offsets[v] for v in dirty]
-    )
-    sections = [
-        sizes,
-        _delta_column(hubs, offsets, HUB_TYPECODE, dirty),
-        _delta_column(dists, offsets, VALUE_TYPECODE, dirty),
-        _delta_column(quals, offsets, VALUE_TYPECODE, dirty),
-    ]
-    if parents is not None:
-        sections.append(_delta_column(parents, offsets, HUB_TYPECODE, dirty))
-    return sections
-
-
-def _delta_sections_of(variant: int, frozen, dirty: List[int]) -> List[array]:
-    """All sections of one delta blob for ``frozen``'s dirty vertices."""
-    sections: List[array] = [array(OFFSET_TYPECODE, dirty)]
-    if variant == VARIANT_DIRECTED:
-        in_arrays, out_arrays = frozen.raw_sides()
-        sections += _delta_side_sections(in_arrays, dirty)
-        sections += _delta_side_sections(out_arrays, dirty)
-        return sections
-    if variant == VARIANT_WEIGHTED:
-        offsets, hubs, dists, quals, pv, pe = frozen.raw_arrays()
-        sections += _delta_side_sections(
-            (offsets, hubs, dists, quals, None), dirty
-        )
-        if pv is not None:
-            sections.append(_delta_column(pv, offsets, HUB_TYPECODE, dirty))
-            sections.append(_delta_column(pe, offsets, HUB_TYPECODE, dirty))
-        return sections
-    sections += _delta_side_sections(frozen.raw_arrays(), dirty)
-    return sections
 
 
 def append_delta(
@@ -936,27 +718,17 @@ def append_delta(
     image).  ``durable=True`` additionally fsyncs before returning —
     off by default, matching :func:`save_frozen`'s durability.
     """
-    variant, frozen = _freeze_for_save(index)
+    frozen = _freeze_for_save(index)
     path = Path(destination)
     with open(path, "rb") as handle:
         head = handle.read(_BINARY_HEADER.size)
-    if len(head) < _BINARY_PREFIX.size:
-        raise IndexFormatError("truncated binary index: missing header")
-    magic, version = _BINARY_PREFIX.unpack_from(head)
-    if magic != BINARY_MAGIC:
-        raise IndexFormatError(f"bad binary magic {magic!r}")
-    if version != BINARY_VERSION:
+    family, with_parents, n, _ = _parse_header(head, "append a delta to")
+    if family is not frozen.family:
         raise IndexFormatError(
-            f"delta blobs require a v3 image, got version {version}; "
-            f"re-save with save_frozen first"
+            f"cannot append a {frozen.family.name} delta to a "
+            f"{family.name} image"
         )
-    base_variant, flags, n, _ = _parse_v23_header(head)
-    if base_variant != variant:
-        raise IndexFormatError(
-            f"cannot append a {_VARIANT_NAMES[variant]} delta to a "
-            f"{_VARIANT_NAMES[base_variant]} image"
-        )
-    if bool(flags & _FLAG_PARENTS) != frozen.tracks_parents:
+    if with_parents != frozen.tracks_parents:
         raise IndexFormatError(
             "parent tracking of the delta disagrees with the image"
         )
@@ -985,22 +757,21 @@ def append_delta(
         raise ValueError(f"dirty vertex out of range [0, {n})")
     if not dirty:
         return 0
-    sections = _delta_sections_of(variant, frozen, dirty)
-    table = array(OFFSET_TYPECODE)
-    cursor = _align(_DELTA_TABLE_AT + 2 * 8 * len(sections))
-    for section in sections:
-        nbytes = section.itemsize * len(section)
-        table.append(cursor)
-        table.append(nbytes)
-        cursor = _align(cursor + nbytes)
+    # Per side: the dirty vertices' new label sizes, then their entries
+    # of every entry-parallel column, mirroring the base side line-up.
+    sections = [array(OFFSET_TYPECODE, dirty)]
+    for offsets, *columns in frozen.raw_sides():
+        sections.append(
+            array(OFFSET_TYPECODE, [offsets[v + 1] - offsets[v] for v in dirty])
+        )
+        sections += [_delta_column(column, offsets, dirty) for column in columns]
     blob = io.BytesIO()
-    blob.write(_DELTA_HEADER.pack(DELTA_MAGIC, DELTA_VERSION, 0, len(dirty)))
-    _write_array(blob, table)
-    written = _DELTA_TABLE_AT + 2 * 8 * len(sections)
-    for section, offset in zip(sections, table[0::2]):
-        blob.write(b"\x00" * (offset - written))
-        _write_array(blob, section)
-        written = offset + section.itemsize * len(section)
+    _write_sectioned(
+        blob,
+        _DELTA_HEADER.pack(DELTA_MAGIC, DELTA_VERSION, 0, len(dirty)),
+        _DELTA_TABLE_AT,
+        sections,
+    )
     with open(path, "r+b") as out:
         out.seek(0, 2)
         size = out.tell()
@@ -1021,16 +792,16 @@ def _base_extent(table: array) -> int:
     return table[-2] + table[-1]
 
 
-def _scan_delta_blobs(data, variant: int, flags: int, table: array):
+def _scan_delta_blobs(data, family, with_parents: bool, table: array):
     """Parse the delta chain after a v3 image's base sections.
 
-    Returns ``(blobs, end)``: each blob as a ``name -> array`` mapping
-    (owned, native-order arrays), and the byte position just past the
-    last blob — the caller's trailing-data checks anchor there.  A chain
-    stops at the first position that does not carry the delta magic
-    (shared-memory page-rounding zeros land here).
+    Returns ``(blobs, end)``: each blob as its list of sections in file
+    order (owned, native-order arrays), and the byte position just past
+    the last blob — the caller's trailing-data checks anchor there.  A
+    chain stops at the first position that does not carry the delta
+    magic (shared-memory page-rounding zeros land here).
     """
-    names = _delta_section_names(variant, flags)
+    layout = _layout(family, with_parents, "ids", "sizes")
     end = _base_extent(table)
     blobs = []
     cursor = _align(end)
@@ -1040,7 +811,7 @@ def _scan_delta_blobs(data, variant: int, flags: int, table: array):
         if magic != DELTA_MAGIC:
             break
         try:
-            sections, end = _read_delta_blob(data, cursor, names, num_dirty,
+            sections, end = _read_delta_blob(data, cursor, layout, num_dirty,
                                              dversion)
         except IndexFormatError as exc:
             # A damaged blob fails the whole load, but the bytes up to
@@ -1059,18 +830,22 @@ def _scan_delta_blobs(data, variant: int, flags: int, table: array):
     return blobs, end
 
 
-def _read_delta_blob(data, cursor: int, names, num_dirty: int, dversion: int):
-    """Parse one delta blob's sections; returns ``(sections, end)``."""
+def _read_delta_blob(data, cursor: int, layout, num_dirty: int, dversion: int):
+    """Parse one delta blob's sections; returns ``(sections, end)``.
+
+    ``ids`` and every side's ``sizes`` hold one item per dirty vertex;
+    the entry columns after a ``sizes`` section hold that side's sum."""
     if dversion != DELTA_VERSION:
         raise IndexFormatError(f"unsupported delta version {dversion}")
     if num_dirty < 0:
         raise IndexFormatError(f"negative delta vertex count {num_dirty}")
     dtable, _ = _read_array(
-        data, cursor + _DELTA_TABLE_AT, OFFSET_TYPECODE, 2 * len(names)
+        data, cursor + _DELTA_TABLE_AT, OFFSET_TYPECODE, 2 * len(layout)
     )
-    sections = {}
-    rel_cursor = _DELTA_TABLE_AT + 2 * 8 * len(names)
-    for i, name in enumerate(names):
+    sections = []
+    total = 0
+    rel_cursor = _DELTA_TABLE_AT + 2 * 8 * len(layout)
+    for i, (name, typecode) in enumerate(layout):
         offset, nbytes = dtable[2 * i], dtable[2 * i + 1]
         expected_at = _align(rel_cursor)
         if offset != expected_at:
@@ -1078,16 +853,17 @@ def _read_delta_blob(data, cursor: int, names, num_dirty: int, dversion: int):
                 f"delta section '{name}' offset {offset} disagrees "
                 f"with its expected position {expected_at}"
             )
-        typecode, count = _delta_section_spec(name, num_dirty, sections)
+        count = num_dirty if typecode == OFFSET_TYPECODE else total
         expected_bytes = _ITEMSIZES[typecode] * count
         if nbytes != expected_bytes:
             raise IndexFormatError(
                 f"delta section '{name}' size stamp {nbytes} disagrees "
                 f"with the expected {expected_bytes} bytes"
             )
-        sections[name], _ = _read_array(
-            data, cursor + offset, typecode, count
-        )
+        values, _ = _read_array(data, cursor + offset, typecode, count)
+        if name.endswith("sizes"):
+            total = sum(values)
+        sections.append(values)
         rel_cursor = offset + nbytes
     return sections, cursor + rel_cursor
 
@@ -1108,21 +884,6 @@ def _column_chunks(ids, sizes, column):
     return repl
 
 
-def _side_replacements(ids, sizes, hubs, dists, quals, parents=None):
-    """Per-vertex replacement chunks of one delta side, as typed views."""
-    hub_chunks = _column_chunks(ids, sizes, hubs)
-    dist_chunks = _column_chunks(ids, sizes, dists)
-    qual_chunks = _column_chunks(ids, sizes, quals)
-    repl = {
-        v: (hub_chunks[v], dist_chunks[v], qual_chunks[v])
-        for v in hub_chunks
-    }
-    parent_repl = (
-        _column_chunks(ids, sizes, parents) if parents is not None else None
-    )
-    return repl, parent_repl
-
-
 def _check_delta_ids(ids, n: int) -> None:
     prev = -1
     for v in ids:
@@ -1135,206 +896,65 @@ def _check_delta_ids(ids, n: int) -> None:
         prev = v
 
 
-def _apply_delta_blob(variant: int, engine, blob, n: int):
+def _apply_delta_blob(engine, blob, n: int):
     """Splice one delta blob's replacements into ``engine``; returns the
     new engine (owned arrays — clean runs copied bytewise)."""
-    ids = list(blob["ids"])
+    ids = list(blob[0])
     _check_delta_ids(ids, n)
+    old_sides = engine.sides()
+    per_side = (len(blob) - 1) // len(old_sides)
     try:
-        if variant == VARIANT_DIRECTED:
-            sides = []
-            for name, old_side in (("in", engine._in), ("out", engine._out)):
-                repl, parent_repl = _side_replacements(
-                    ids,
-                    blob[f"{name}_sizes"],
-                    blob[f"{name}_hubs"],
-                    blob[f"{name}_dists"],
-                    blob[f"{name}_quals"],
-                    blob.get(f"{name}_parents"),
-                )
-                sides.append(splice_label_side(old_side, repl, parent_repl))
-            return FrozenDirectedWCIndex(engine.order, sides[0], sides[1])
-        if variant == VARIANT_WEIGHTED:
-            repl, _ = _side_replacements(
-                ids, blob["sizes"], blob["hubs"], blob["dists"], blob["quals"]
-            )
-            old_side = engine._side
-            new_side = splice_label_side(old_side, repl)
-            pv = pe = None
-            if engine.tracks_parents:
-                sizes = blob["sizes"]
-                pv_repl = _column_chunks(ids, sizes, blob["parent_vertices"])
-                pe_repl = _column_chunks(ids, sizes, blob["parent_entries"])
-                pv = splice_column(
-                    old_side.offsets, engine._parent_vertices,
-                    HUB_TYPECODE, pv_repl,
-                )
-                pe = splice_column(
-                    old_side.offsets, engine._parent_entries,
-                    HUB_TYPECODE, pe_repl,
-                )
-            return FrozenWeightedWCIndex(engine.order, new_side, pv, pe)
-        repl, parent_repl = _side_replacements(
-            ids, blob["sizes"], blob["hubs"], blob["dists"], blob["quals"],
-            blob.get("parents"),
-        )
-        new_side = splice_label_side(engine._side, repl, parent_repl)
-        return FrozenWCIndex(engine.order, *new_side.raw_arrays())
+        sides = []
+        for i, old_side in enumerate(old_sides):
+            sizes, *columns = blob[1 + i * per_side:1 + (i + 1) * per_side]
+            chunks = [_column_chunks(ids, sizes, column) for column in columns]
+            repl = {v: tuple(chunk[v] for chunk in chunks[:3]) for v in ids}
+            parent_repl = {v: tuple(chunk[v] for chunk in chunks[3:]) for v in ids}
+            sides.append(splice_label_side(old_side, repl, parent_repl))
+        return type(engine).from_sides(engine.order, sides)
     except (ValueError, IndexError) as exc:
         if isinstance(exc, IndexFormatError):
             raise
         raise IndexFormatError(f"inconsistent delta blob: {exc}") from exc
 
 
-def _validate_assembled(variant: int, engine, n: int) -> None:
-    """Post-splice integrity scan: the same checks the plain v3 loader
-    runs, applied to the resolved arrays."""
-    if sorted(engine.order) != list(range(n)):
-        raise IndexFormatError("order is not a permutation of the vertex ids")
-    if variant == VARIANT_DIRECTED:
-        for side in (engine._in, engine._out):
-            _validate_frozen_body(
-                n, side.offsets, side.hubs, side.dists, side.quals,
-                side.parents,
-            )
-        return
-    side = engine._side
-    if variant == VARIANT_WEIGHTED:
-        _validate_frozen_body(
-            n, side.offsets, side.hubs, side.dists, side.quals, None
-        )
-        if engine._parent_vertices is not None:
-            _validate_weighted_parents(
-                n, side.offsets, engine._parent_vertices,
-                engine._parent_entries,
-            )
-        return
-    _validate_frozen_body(
-        n, side.offsets, side.hubs, side.dists, side.quals, side.parents
-    )
-
-
-def _assemble_with_deltas(
-    variant, flags, n, names, table, base, blobs, validate, backend=None
-):
-    """Assemble the base sections (copying) and splice the delta chain."""
-    reader = _SectionReaderV3(base, names, table, attach=False, exact=False)
-    engine = _assemble_engine(
-        variant, reader, n, bool(flags & _FLAG_PARENTS), False, backend
-    )
-    for blob in blobs:
-        # Splicing builds a fresh engine; re-pin the requested backend.
-        engine = _apply_delta_blob(variant, engine, blob, n).select_backend(
-            backend
-        )
-    if validate:
-        _validate_assembled(variant, engine, n)
-    return engine
-
-
-def _load_frozen_v2(data: bytes, validate: bool, backend=None):
-    """The PR 3 layout: variant tag + unstamped, unaligned offset table."""
-    variant, flags, n, names = _parse_v23_header(data)
-    table, cursor = _read_array(
-        data, _BINARY_HEADER.size, OFFSET_TYPECODE, len(names)
-    )
-    reader = _SectionReaderV2(data, cursor, table)
-    return _assemble_engine(
-        variant, reader, n, bool(flags & _FLAG_PARENTS), validate, backend
-    )
-
-
-def _load_frozen_v1(data: bytes, validate: bool, backend=None) -> FrozenWCIndex:
-    """The PR 1 layout: undirected only, no variant tag or section table."""
-    if len(data) < _BINARY_HEADER_V1.size:
-        raise IndexFormatError("truncated binary index: missing header")
-    _, _, flags, n = _BINARY_HEADER_V1.unpack_from(data)
-    if n < 0:
-        raise IndexFormatError(f"negative vertex count {n}")
-    cursor = _BINARY_HEADER_V1.size
-    order_arr, cursor = _read_array(data, cursor, OFFSET_TYPECODE, n)
-    offsets, cursor = _read_array(data, cursor, OFFSET_TYPECODE, n + 1)
-    total = offsets[n] if n else 0
-    if total < 0:
-        raise IndexFormatError("negative entry count in offset table")
-    hubs, cursor = _read_array(data, cursor, HUB_TYPECODE, total)
-    dists, cursor = _read_array(data, cursor, VALUE_TYPECODE, total)
-    quals, cursor = _read_array(data, cursor, VALUE_TYPECODE, total)
-    parents = None
-    if flags & _FLAG_PARENTS:
-        parents, cursor = _read_array(data, cursor, HUB_TYPECODE, total)
-    if cursor != len(data):
-        raise IndexFormatError(
-            f"trailing data after index body ({len(data) - cursor} bytes)"
-        )
-    order = list(order_arr)
-    if sorted(order) != list(range(n)):
-        raise IndexFormatError("order is not a permutation of the vertex ids")
-    if validate:
-        _validate_frozen_body(n, offsets, hubs, dists, quals, parents)
-    try:
-        return FrozenWCIndex(
-            order, offsets, hubs, dists, quals, parents, backend=backend
-        )
-    except ValueError as exc:
-        raise IndexFormatError(f"inconsistent binary index: {exc}") from exc
-
-
 def describe_frozen(source: Union[PathLike, BinaryIO]) -> dict:
-    """Header and section layout of a ``.wcxb`` image, without building
-    an engine.
+    """Header and section layout of a ``.wcxb`` v3 image, without
+    building an engine.
 
     Returns ``{"format_version", "variant", "num_vertices",
-    "tracks_parents", "sections", "total_bytes", "kernel_backends"}``
-    where ``sections`` is the ordered ``[{"name", "offset", "nbytes"},
-    ...]`` list and ``kernel_backends`` names the query-kernel backends
-    available on *this* host (a property of the machine, not the image
-    — any backend can attach to any image).  For a v3 image only the
-    header and the size-stamped section table are read — constant work
-    however large the index; v1/v2 images (no size stamps) are read
-    fully to reconstruct their layout.
+    "tracks_parents", "sections", "deltas", "total_bytes",
+    "kernel_backends"}`` where ``sections`` is the ordered ``[{"name",
+    "offset", "nbytes"}, ...]`` list and ``kernel_backends`` names the
+    query-kernel backends available on *this* host (a property of the
+    machine, not the image — any backend can attach to any image).  Only
+    the header, the size-stamped section table and the delta headers are
+    read — constant work however large the index.  A v1/v2 image raises
+    :class:`IndexFormatError` naming its version.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return describe_frozen(handle)
     head = source.read(_BINARY_HEADER.size)
-    if len(head) < _BINARY_PREFIX.size:
-        raise IndexFormatError("truncated binary index: missing header")
-    magic, version = _BINARY_PREFIX.unpack_from(head)
-    if magic != BINARY_MAGIC:
-        raise IndexFormatError(f"bad binary magic {magic!r}")
-    deltas: List[dict] = []
-    if version == BINARY_VERSION:
-        variant, flags, n, names = _parse_v23_header(head)
-        rest = source.read(
-            _TABLE_AT + 2 * 8 * len(names) - _BINARY_HEADER.size
-        )
-        table = _read_v3_table(head + rest, names)
-        sections = [
-            {
-                "name": name,
-                "offset": table[2 * i],
-                "nbytes": table[2 * i + 1],
-            }
-            for i, name in enumerate(names)
-        ]
-        total = (
-            sections[-1]["offset"] + sections[-1]["nbytes"]
-            if sections
-            else len(head)
-        )
-        deltas, total = _describe_deltas(source, variant, flags, total)
-    elif version in (1, 2):
-        data = head + source.read()
-        sections, variant, flags, n = _describe_legacy(data, version)
-        total = len(data)
-    else:
-        raise IndexFormatError(f"unsupported binary version {version}")
+    family, with_parents, n, names = _parse_header(head, "describe")
+    rest = source.read(_TABLE_AT + 2 * 8 * len(names) - _BINARY_HEADER.size)
+    table = _read_table(head + rest, names)
+    sections = [
+        {
+            "name": name,
+            "offset": table[2 * i],
+            "nbytes": table[2 * i + 1],
+        }
+        for i, name in enumerate(names)
+    ]
+    deltas, total = _describe_deltas(
+        source, family, with_parents, _base_extent(table)
+    )
     return {
-        "format_version": version,
-        "variant": _VARIANT_NAMES[variant],
+        "format_version": BINARY_VERSION,
+        "variant": family.name,
         "num_vertices": n,
-        "tracks_parents": bool(flags & _FLAG_PARENTS),
+        "tracks_parents": with_parents,
         "sections": sections,
         "deltas": deltas,
         "total_bytes": total,
@@ -1342,10 +962,10 @@ def describe_frozen(source: Union[PathLike, BinaryIO]) -> dict:
     }
 
 
-def _describe_deltas(source: BinaryIO, variant: int, flags: int, total: int):
+def _describe_deltas(source: BinaryIO, family, with_parents: bool, total: int):
     """Walk the delta chain after the base sections (headers and tables
     only — constant work per blob).  Returns ``(deltas, total)``."""
-    names = _delta_section_names(variant, flags)
+    count = len(_layout(family, with_parents, "ids", "sizes"))
     deltas: List[dict] = []
     cursor = _align(total)
     try:
@@ -1362,18 +982,15 @@ def _describe_deltas(source: BinaryIO, variant: int, flags: int, total: int):
             break
         if dversion != DELTA_VERSION:
             raise IndexFormatError(f"unsupported delta version {dversion}")
-        raw_table = source.read(2 * 8 * len(names))
+        raw_table = source.read(2 * 8 * count)
         dtable, _ = _read_array(
-            head + raw_table, _DELTA_TABLE_AT, OFFSET_TYPECODE, 2 * len(names)
+            head + raw_table, _DELTA_TABLE_AT, OFFSET_TYPECODE, 2 * count
         )
         end = cursor + dtable[-2] + dtable[-1] if len(dtable) else cursor
         # A corrupt table whose extent does not clear the blob's own
         # header and table (or runs past the file) cannot advance the
         # scan; fail loudly instead of describing forever.
-        if (
-            end < cursor + _DELTA_TABLE_AT + 2 * 8 * len(names)
-            or end > size
-        ):
+        if end < cursor + _DELTA_TABLE_AT + 2 * 8 * count or end > size:
             raise IndexFormatError(
                 f"inconsistent delta section table at byte {cursor}"
             )
@@ -1385,50 +1002,17 @@ def _describe_deltas(source: BinaryIO, variant: int, flags: int, total: int):
     return deltas, total
 
 
-def _describe_legacy(data: bytes, version: int):
-    """Reconstruct the section layout of a v1/v2 image from its body."""
-    if version == 1:
-        if len(data) < _BINARY_HEADER_V1.size:
-            raise IndexFormatError("truncated binary index: missing header")
-        _, _, flags, n = _BINARY_HEADER_V1.unpack_from(data)
-        variant = VARIANT_UNDIRECTED
-        names = _section_names(variant, flags)
-        offsets_at = _BINARY_HEADER_V1.size + 8 * n
-        starts = [_BINARY_HEADER_V1.size, offsets_at]
-        offsets, _ = _read_array(data, offsets_at, OFFSET_TYPECODE, n + 1)
-        total = offsets[n] if n else 0
-        cursor = offsets_at + 8 * (n + 1)
-        for itemsize in [4, 8, 8] + ([4] if flags & _FLAG_PARENTS else []):
-            starts.append(cursor)
-            cursor += itemsize * total
-        starts.append(len(data))
-    else:
-        variant, flags, n, names = _parse_v23_header(data)
-        table, _ = _read_array(
-            data, _BINARY_HEADER.size, OFFSET_TYPECODE, len(names)
-        )
-        starts = list(table) + [len(data)]
-    sections = [
-        {
-            "name": name,
-            "offset": starts[i],
-            "nbytes": starts[i + 1] - starts[i],
-        }
-        for i, name in enumerate(names)
-    ]
-    return sections, variant, flags, n
-
-
-def _validate_frozen_body(n, offsets, hubs, dists, quals, parents) -> None:
-    """Integrity scan over the loaded arrays.
+def _validate_side(family, n, offsets, hubs, dists, quals, *parents) -> None:
+    """Integrity scan over one loaded label side.
 
     Checks exactly the structural invariants the merge kernels rely on:
     offsets monotonic from 0; per vertex, hub ranks in range and
     non-decreasing (groups contiguous and sorted); within a hub group,
     distances and qualities non-decreasing (the Theorem 3 staircase —
     the kernels take the first quality-feasible entry of a group as the
-    minimal-distance one).  A file violating them would load but
-    silently answer queries wrongly.  Dominated duplicate entries (equal
+    minimal-distance one); and the parent columns the family's
+    validator accepts.  A file violating them would load but silently
+    answer queries wrongly.  Dominated duplicate entries (equal
     distance/quality) are wasteful but harmless, so — like the text
     loader — they are accepted.
     """
@@ -1461,32 +1045,11 @@ def _validate_frozen_body(n, offsets, hubs, dists, quals, parents) -> None:
                         f"entries of vertex {v}, hub {hub} not an ascending "
                         f"distance/quality staircase at entry {i}"
                     )
-    if parents is not None:
-        for parent in parents:
-            if not -1 <= parent < n:
-                raise IndexFormatError(
-                    f"parent id {parent} out of range [-1, {n})"
-                )
-
-
-def _validate_weighted_parents(n, offsets, parent_vertices, parent_entries):
-    """Weighted parents are ``(vertex, entry_index)`` pairs: the vertex in
-    range, and the entry index addressing an existing entry of that
-    parent's label (or ``(-1, -1)`` for a hub's self entry)."""
-    for i in range(len(parent_vertices)):
-        parent = parent_vertices[i]
-        entry = parent_entries[i]
-        if not -1 <= parent < n:
-            raise IndexFormatError(
-                f"parent vertex {parent} out of range [-1, {n})"
-            )
-        if parent < 0:
-            continue
-        if not 0 <= entry < offsets[parent + 1] - offsets[parent]:
-            raise IndexFormatError(
-                f"parent entry index {entry} out of range for "
-                f"vertex {parent}"
-            )
+    if parents:
+        try:
+            family.validate_parents(n, offsets, parents)
+        except ValueError as exc:
+            raise IndexFormatError(str(exc)) from None
 
 
 def _write_array(out: BinaryIO, values) -> None:

@@ -14,6 +14,7 @@ import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from ..graph.weighted import WeightedGraph
+from .frozen import WEIGHTED
 from .query import group_end, merge_linear
 
 INF = float("inf")
@@ -25,6 +26,9 @@ def weighted_degree_order(graph: WeightedGraph) -> List[int]:
 
 class WeightedWCIndex:
     """2-hop labeling for quality constrained shortest *weighted* distances."""
+
+    #: The index family (shared with the frozen engine).
+    family = WEIGHTED
 
     def __init__(
         self,

@@ -353,5 +353,5 @@ class LivePublisher:
         return (
             f"LivePublisher(epoch={self._epoch}, "
             f"workers={self._server.num_workers}, "
-            f"family={self._live.family})"
+            f"family={self._live.family.name})"
         )

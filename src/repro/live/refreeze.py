@@ -41,15 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ..core.frozen import (
-    HUB_TYPECODE,
-    FrozenDirectedWCIndex,
-    FrozenWCIndex,
-    FrozenWeightedWCIndex,
-    _FlatSide,
-    splice_column,
-    splice_label_side,
-)
+from ..core.frozen import splice_label_side
 from ..core.serialize import append_delta, save_frozen
 
 __all__ = [
@@ -115,56 +107,27 @@ def incremental_refreeze(old_frozen, index, dirty):
         raise ValueError(
             "parent tracking of the snapshot disagrees with the index"
         )
+    family = getattr(old_frozen, "family", None)
+    if not hasattr(old_frozen, "sides") or family is not index.family:
+        raise TypeError(
+            f"cannot refreeze {type(index).__name__} against a "
+            f"{type(old_frozen).__name__}"
+        )
     n = index.num_vertices
     dirty = sorted(set(dirty))
     if dirty and not (0 <= dirty[0] and dirty[-1] < n):
         raise ValueError(f"dirty vertex out of range [0, {n})")
-    tracks = index.tracks_parents
-
-    if isinstance(old_frozen, FrozenDirectedWCIndex):
-        in_arrays, out_arrays = old_frozen.raw_sides()
-        new_in = splice_label_side(
-            _FlatSide(n, *in_arrays),
-            {v: index.in_label_lists(v) for v in dirty},
-            {v: index.in_parent_list(v) for v in dirty} if tracks else None,
+    sides = [
+        splice_label_side(
+            old_side,
+            {v: labels(v) for v in dirty},
+            {v: parents(v) for v in dirty} if parents else None,
         )
-        new_out = splice_label_side(
-            _FlatSide(n, *out_arrays),
-            {v: index.out_label_lists(v) for v in dirty},
-            {v: index.out_parent_list(v) for v in dirty} if tracks else None,
+        for old_side, (labels, parents) in zip(
+            old_frozen.sides(), family.side_sources(index)
         )
-        return FrozenDirectedWCIndex(index.order, new_in, new_out)
-
-    if isinstance(old_frozen, FrozenWeightedWCIndex):
-        offsets, hubs, dists, quals, pv, pe = old_frozen.raw_arrays()
-        new_side = splice_label_side(
-            _FlatSide(n, offsets, hubs, dists, quals),
-            {v: index.label_lists(v) for v in dirty},
-        )
-        new_pv = new_pe = None
-        if tracks:
-            pairs = {v: index.parent_pairs(v) for v in dirty}
-            new_pv = splice_column(
-                offsets, pv, HUB_TYPECODE,
-                {v: [p for p, _ in pairs[v]] for v in dirty},
-            )
-            new_pe = splice_column(
-                offsets, pe, HUB_TYPECODE,
-                {v: [e for _, e in pairs[v]] for v in dirty},
-            )
-        return FrozenWeightedWCIndex(index.order, new_side, new_pv, new_pe)
-
-    if isinstance(old_frozen, FrozenWCIndex):
-        side = splice_label_side(
-            _FlatSide(n, *old_frozen.raw_arrays()),
-            {v: index.label_lists(v) for v in dirty},
-            {v: index.parent_list(v) for v in dirty} if tracks else None,
-        )
-        return FrozenWCIndex(index.order, *side.raw_arrays())
-
-    raise TypeError(
-        f"cannot refreeze against a {type(old_frozen).__name__}"
-    )
+    ]
+    return type(old_frozen).from_sides(index.order, sides)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from typing import List, Optional, Set
 
 from ..core.directed import DirectedWCIndex
 from ..core.dynamic import DynamicWCIndex, require_positive_quality
+from ..core.frozen import DIRECTED, UNDIRECTED, WEIGHTED, Family
 from ..core.weighted import WeightedWCIndex
 from ..graph.digraph import DiGraph
 from ..graph.graph import Graph
@@ -53,7 +54,7 @@ from .journal import (
 class _LiveIndexBase:
     """Shared journal plumbing and engine passthroughs."""
 
-    family: str = ""
+    family: Family
 
     def __init__(self, journal: Optional[UpdateJournal]) -> None:
         self.journal = journal if journal is not None else UpdateJournal()
@@ -151,7 +152,7 @@ class LiveWCIndex(_LiveIndexBase):
     ops keep their exact per-op repair and dirt.
     """
 
-    family = "undirected"
+    family = UNDIRECTED
 
     def __init__(
         self,
@@ -336,7 +337,7 @@ class _RebuildingLiveIndex(_LiveIndexBase):
 class LiveDirectedWCIndex(_RebuildingLiveIndex):
     """Journaled directed index (rebuild with reused order on update)."""
 
-    family = "directed"
+    family = DIRECTED
 
     def __init__(
         self,
@@ -400,7 +401,7 @@ class LiveWeightedWCIndex(_RebuildingLiveIndex):
     it); ``change_quality`` keeps the edge's length.
     """
 
-    family = "weighted"
+    family = WEIGHTED
 
     def __init__(
         self,
@@ -470,7 +471,7 @@ def _reject_length(live: _LiveIndexBase, length) -> None:
     if length is not None:
         raise ValueError(
             f"edge lengths only apply to the weighted family, "
-            f"not {live.family}"
+            f"not {live.family.name}"
         )
 
 

@@ -90,7 +90,9 @@ class _Keyer:
 
     def __init__(self, engine) -> None:
         self._engine = engine
-        self._directed = hasattr(engine, "in_entries_of")
+        # The family descriptor (shared by list and frozen engines)
+        # decides whether (s, t) and (t, s) are the same question.
+        self._directed = not engine.family.symmetric
         self._n = engine.num_vertices
         self._levels = self._label_levels(engine)
         # Hub-reach sets, memoized per endpoint on first fill.  Directed

@@ -10,6 +10,12 @@ objects underneath: the creator closes *and unlinks* the segment
 (:meth:`AttachedIndex.close`) — and attach untracked, so worker exits
 neither double-unlink the segment nor trip ``resource_tracker`` leak
 warnings.
+
+Every family is the one :class:`~repro.core.frozen.FrozenIndex` engine,
+so one segment layout serves all three.  A ``.wcxb`` path that is
+already a plain v3 image is published byte for byte; a text index or a
+delta-carrying image is re-saved as a canonical v3 image first, and a
+v1/v2 image is rejected with :class:`~repro.core.serialize.IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.serialize import (
-    BINARY_VERSION,
     attach_frozen,
     describe_frozen,
     is_binary_index_path,
@@ -35,9 +40,9 @@ PathLike = Union[str, Path]
 
 def _image_bytes(source, validate: bool) -> bytes:
     """The v3 image of ``source`` — an index engine of any family (list
-    engines are frozen first) or an index path (legacy binary versions
-    and text indexes are normalized to v3 so attachers can cast into the
-    segment).
+    engines are frozen first) or an index path (text indexes and
+    delta-carrying images are normalized to a canonical v3 image so
+    attachers can cast into the segment).
 
     ``validate`` applies to path sources: the integrity scan runs once
     here, at publish time, because attachers skip it — an engine source
@@ -46,20 +51,15 @@ def _image_bytes(source, validate: bool) -> bytes:
     if isinstance(source, (str, Path)):
         if not is_binary_index_path(source):
             source = load_index(source)
+        elif not describe_frozen(source)["deltas"]:
+            data = Path(source).read_bytes()
+            if validate:
+                attach_frozen(data, validate=True).release()
+            return data
         else:
-            described = describe_frozen(source)
-            # A delta-carrying image would force every attacher through
-            # the copying splice path; like legacy versions it is
-            # normalized to a canonical v3 image at publish time so the
+            # A delta chain would force every attacher through the
+            # copying splice path; compact it at publish time so the
             # workers keep their zero-copy attach.
-            if (
-                described["format_version"] == BINARY_VERSION
-                and not described["deltas"]
-            ):
-                data = Path(source).read_bytes()
-                if validate:
-                    attach_frozen(data, validate=True).release()
-                return data
             source = load_frozen(source, validate=validate)
     buffer = io.BytesIO()
     save_frozen(source, buffer)

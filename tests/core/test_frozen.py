@@ -1,12 +1,24 @@
 """Tests for the frozen flat-array query engine."""
 
+from array import array
+
 import pytest
 
-from tests.helpers import random_graph, thresholds_for
+from tests.helpers import (
+    random_digraph,
+    random_graph,
+    random_weighted_graph,
+    thresholds_for,
+)
 
 from repro.baselines.online import ConstrainedBFS
-from repro.core import WCIndexBuilder, build_wc_index_plus
-from repro.core.frozen import BYTES_PER_GROUP, FrozenWCIndex
+from repro.core import (
+    DirectedWCIndex,
+    WCIndexBuilder,
+    WeightedWCIndex,
+    build_wc_index_plus,
+)
+from repro.core.frozen import BYTES_PER_GROUP, FrozenIndex, FrozenWCIndex, _FlatSide
 from repro.core.labels import BYTES_PER_ENTRY
 from repro.graph.generators import paper_figure3
 from repro.workloads.queries import random_queries
@@ -94,15 +106,6 @@ class TestFreezeThawRoundTrip:
             for v in g.vertices():
                 assert thawed.entries_of(v) == index.entries_of(v)
 
-    def test_freeze_thaw_freeze_identical_arrays(self):
-        g = random_graph(3)
-        frozen = build_wc_index_plus(g, "degree").freeze()
-        refrozen = frozen.thaw().freeze()
-        a = frozen.raw_arrays()
-        b = refrozen.raw_arrays()
-        assert a[:4] == b[:4]
-        assert a[4] is None and b[4] is None
-
     def test_round_trip_with_parents(self):
         g = paper_figure3()
         index = WCIndexBuilder(g, "identity", track_parents=True).build()
@@ -155,7 +158,7 @@ class TestStructure:
         frozen = build_wc_index_plus(paper_figure3(), "identity").freeze(
             backend="stdlib"
         )
-        side = frozen._side
+        (side,) = frozen.sides()
         assert side._directory is None and side._hub_map is None
         frozen.distance(0, 4, 1.0)
         assert side._directory is not None
@@ -208,7 +211,7 @@ class TestFootprint:
         g = random_graph(7)
         index = build_wc_index_plus(g, "degree")
         frozen = index.freeze()
-        offsets, hubs, dists, quals, parents = frozen.raw_arrays()
+        ((offsets, hubs, dists, quals),) = frozen.raw_sides()
         entry_bytes = (
             hubs.itemsize * len(hubs)
             + dists.itemsize * len(dists)
@@ -223,11 +226,10 @@ class TestFootprint:
             + 8 * (frozen.num_vertices + 1)
         )
         assert frozen.nbytes() == expected
-        assert parents is None
 
     def test_typecodes_are_platform_independent(self):
         frozen = build_wc_index_plus(paper_figure3()).freeze()
-        offsets, hubs, dists, quals, _ = frozen.raw_arrays()
+        ((offsets, hubs, dists, quals),) = frozen.raw_sides()
         assert offsets.itemsize == 8
         assert hubs.itemsize == 4
         assert dists.itemsize == 8
@@ -253,21 +255,71 @@ class TestBuilderIntegration:
             assert basic.entries_of(v) == unfrozen.entries_of(v)
 
     def test_constructor_validates_shapes(self):
-        from array import array
-
+        entry = (array("i", [0]), array("d", [0.0]), array("d", [1.0]))
         with pytest.raises(ValueError, match="offsets"):
-            FrozenWCIndex(
-                [0, 1],
-                array("q", [0, 1]),
-                array("i", [0]),
-                array("d", [0.0]),
-                array("d", [1.0]),
-            )
+            _FlatSide(2, array("q", [0, 1]), *entry)
         with pytest.raises(ValueError, match="disagree"):
-            FrozenWCIndex(
-                [0],
-                array("q", [0, 2]),
-                array("i", [0]),
-                array("d", [0.0]),
-                array("d", [1.0]),
-            )
+            _FlatSide(1, array("q", [0, 2]), *entry)
+        with pytest.raises(ValueError, match="vertex order"):
+            FrozenWCIndex([0, 1], _FlatSide(1, array("q", [0, 1]), *entry))
+
+
+FAMILY_INDEXES = {
+    "undirected": lambda p: build_wc_index_plus(random_graph(3), track_parents=p),
+    "directed": lambda p: DirectedWCIndex(random_digraph(3), track_parents=p),
+    "weighted": lambda p: WeightedWCIndex(random_weighted_graph(3), track_parents=p),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_INDEXES))
+class TestEngineAPI:
+    """One two-sided engine behind all three families."""
+
+    @pytest.mark.parametrize("parents", [False, True])
+    def test_freeze_thaw_freeze_identity(self, family, parents):
+        index = FAMILY_INDEXES[family](parents)
+        frozen = index.freeze()
+        assert isinstance(frozen, FrozenIndex)
+        assert frozen.family is index.family and frozen.family.name == family
+        refrozen = frozen.thaw().freeze()
+        assert type(refrozen) is type(frozen)
+        assert refrozen.raw_sides() == frozen.raw_sides()
+        width = len(frozen.family.parent_columns) if parents else 0
+        assert {len(side) for side in frozen.raw_sides()} == {4 + width}
+
+    def test_entry_count_and_nbytes(self, family):
+        index = FAMILY_INDEXES[family](True)
+        frozen = index.freeze()
+        sides = frozen.raw_sides()
+        # A symmetric side answers both endpoints but is counted once.
+        assert len(sides) == (1 if frozen.family.symmetric else 2)
+        entries = sum(len(side[1]) for side in sides)
+        assert frozen.entry_count() == index.entry_count() == entries
+        arrays = sum(view.itemsize * len(view) for side in sides for view in side)
+        directories = len(sides) * 8 * (frozen.num_vertices + 1)
+        directories += BYTES_PER_GROUP * frozen.group_count()
+        assert frozen.nbytes() == frozen.size_bytes() == arrays + directories
+
+    def test_release_detaches_every_view(self, family):
+        frozen = FAMILY_INDEXES[family](True).freeze()
+        frozen.distance_many([(0, 1, 1.0)])  # kernel state holds exports
+        views = [view for side in frozen.raw_sides() for view in side]
+        frozen.release()
+        for view in views:
+            with pytest.raises(ValueError, match="released"):
+                len(view)
+
+    def test_inconsistent_sides_rejected(self, family):
+        frozen = FAMILY_INDEXES[family](False).freeze()
+        cls, sides, order = type(frozen), frozen.sides(), frozen.order
+        with pytest.raises(ValueError, match="vertex order"):
+            cls.from_sides(order[:-1], sides)
+        wrong_count = sides * 2 if frozen.family.symmetric else sides[:1]
+        with pytest.raises(ValueError, match="label side"):
+            cls.from_sides(order, wrong_count)
+        n, (offsets, hubs, dists, quals) = len(order), sides[0].raw_arrays()
+        three = _FlatSide(n, offsets, hubs, dists, quals, hubs, hubs, hubs)
+        with pytest.raises(ValueError, match="parent column"):
+            cls.from_sides(order, [three] * len(sides))
+        with pytest.raises(ValueError, match="disagree"):
+            _FlatSide(n, offsets, hubs, dists, quals, hubs[1:])

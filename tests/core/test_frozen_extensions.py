@@ -3,7 +3,7 @@
 
 import pytest
 
-from tests.helpers import random_digraph, random_weighted_graph
+from tests.helpers import random_digraph, random_weighted_graph, thresholds_for
 
 from repro.baselines.online import DirectedConstrainedBFS
 from repro.core import (
@@ -20,11 +20,6 @@ from repro.workloads.queries import random_queries
 INF = float("inf")
 
 
-def thresholds(graph) -> list:
-    qualities = graph.distinct_qualities() or [1.0]
-    return [0.5] + qualities + [qualities[-1] + 1.0]
-
-
 class TestFrozenDirectedMatchesOracle:
     @pytest.mark.parametrize("trial", range(8))
     def test_distance_matches_list_engine_and_bfs(self, trial):
@@ -32,7 +27,7 @@ class TestFrozenDirectedMatchesOracle:
         index = DirectedWCIndex(g)
         frozen = index.freeze()
         oracle = DirectedConstrainedBFS(g)
-        for w in thresholds(g):
+        for w in thresholds_for(g):
             for s in g.vertices():
                 truth = oracle.single_source(s, w)
                 for t in g.vertices():
@@ -81,12 +76,6 @@ class TestFrozenDirectedRoundTrip:
                     assert thawed.in_parent_list(v) == index.in_parent_list(v)
                     assert thawed.out_parent_list(v) == index.out_parent_list(v)
 
-    def test_freeze_thaw_freeze_identical_arrays(self):
-        g = random_digraph(3)
-        frozen = DirectedWCIndex(g).freeze()
-        refrozen = frozen.thaw().freeze()
-        assert frozen.raw_sides() == refrozen.raw_sides()
-
     def test_frozen_is_independent_snapshot(self):
         g = DiGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
         index = DirectedWCIndex(g)
@@ -108,28 +97,17 @@ class TestFrozenDirectedStructure:
             assert frozen.out_entries_of(v) == index.out_entries_of(v)
 
     def test_footprint_positive_and_reported(self):
-        g = DiGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        frozen = DirectedWCIndex(g).freeze()
-        assert frozen.nbytes() > 0
-        assert frozen.size_bytes() == frozen.nbytes()
-        assert "FrozenDirectedWCIndex" in repr(frozen)
+        frozen = DirectedWCIndex(DiGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])).freeze()
+        assert frozen.nbytes() > 0 and "FrozenDirectedWCIndex" in repr(frozen)
 
     def test_constructor_validates_sides(self):
-        from repro.core.frozen import _FlatSide
-
         g = DiGraph(2, [(0, 1, 1.0)])
-        frozen = DirectedWCIndex(g).freeze()
-        in_side, out_side = frozen._in, frozen._out
+        in_side, out_side = DirectedWCIndex(g).freeze().sides()
         with pytest.raises(ValueError, match="vertex order"):
-            FrozenDirectedWCIndex([0], in_side, out_side)
+            FrozenDirectedWCIndex([0], out_side, in_side)
         with_parents = DirectedWCIndex(g, track_parents=True).freeze()
         with pytest.raises(ValueError, match="both sides"):
-            FrozenDirectedWCIndex([0, 1], with_parents._in, out_side)
-        # _FlatSide itself rejects inconsistent arrays.
-        from array import array
-
-        with pytest.raises(ValueError, match="offsets"):
-            _FlatSide(2, array("q", [0, 1]), array("i"), array("d"), array("d"))
+            FrozenDirectedWCIndex([0, 1], out_side, with_parents.sides()[0])
 
 
 class TestFrozenWeightedMatchesOracle:
@@ -138,7 +116,7 @@ class TestFrozenWeightedMatchesOracle:
         g = random_weighted_graph(trial)
         index = WeightedWCIndex(g)
         frozen = index.freeze()
-        for w in thresholds(g):
+        for w in thresholds_for(g):
             for s in g.vertices():
                 for t in g.vertices():
                     expected = constrained_dijkstra(g, s, t, w)
@@ -190,12 +168,6 @@ class TestFrozenWeightedRoundTrip:
         thawed = index.freeze().thaw()
         assert thawed.path(0, 2, 1.0) == [0, 1, 2]
 
-    def test_freeze_thaw_freeze_identical_arrays(self):
-        g = random_weighted_graph(3)
-        frozen = WeightedWCIndex(g, track_parents=True).freeze()
-        refrozen = frozen.thaw().freeze()
-        assert frozen.raw_arrays() == refrozen.raw_arrays()
-
 
 class TestFrozenWeightedStructure:
     def test_entry_accounting_matches_list_engine(self):
@@ -218,19 +190,16 @@ class TestFrozenWeightedStructure:
     def test_footprint_positive_and_reported(self):
         g = WeightedGraph(2, [(0, 1, 1.0, 1.0)])
         frozen = WeightedWCIndex(g, track_parents=True).freeze()
-        assert frozen.nbytes() > 0
-        assert frozen.size_bytes() == frozen.nbytes()
-        assert "FrozenWeightedWCIndex" in repr(frozen)
+        assert frozen.nbytes() > 0 and "FrozenWeightedWCIndex" in repr(frozen)
 
     def test_constructor_validates_parent_arrays(self):
-        from array import array
+        from repro.core.frozen import _FlatSide
 
         g = WeightedGraph(2, [(0, 1, 1.0, 1.0)])
-        frozen = WeightedWCIndex(g).freeze()
-        side = frozen._side
-        with pytest.raises(ValueError, match="come together"):
-            FrozenWeightedWCIndex([0, 1], side, array("i", [0]), None)
+        ((offsets, hubs, dists, quals),) = WeightedWCIndex(g).freeze().raw_sides()
+        # Weighted parents are (vertex, entry) pairs: both columns or none.
+        one = _FlatSide(2, offsets, hubs, dists, quals, hubs)
+        with pytest.raises(ValueError, match="2 parent column"):
+            FrozenWeightedWCIndex([0, 1], one)
         with pytest.raises(ValueError, match="disagree"):
-            FrozenWeightedWCIndex(
-                [0, 1], side, array("i", [0]), array("i", [0])
-            )
+            _FlatSide(2, offsets, hubs, dists, quals, hubs, hubs[1:])

@@ -1,6 +1,7 @@
 """Tests for WC-INDEX serialization."""
 
 import io
+import struct
 
 import pytest
 
@@ -178,7 +179,7 @@ class TestBinaryFormat:
         g = random_graph(2)
         frozen = build_wc_index_plus(g, "degree").freeze()
         loaded = self.binary_round_trip(frozen)
-        assert loaded.raw_arrays()[:4] == frozen.raw_arrays()[:4]
+        assert loaded.raw_sides() == frozen.raw_sides()
 
     def test_answers_preserved(self):
         g = random_graph(4)
@@ -263,8 +264,6 @@ class TestBinaryFormat:
         """Valid paper_figure3 image (n=6, identity order) as a mutable
         buffer plus the byte positions of its label sections, located
         through the image's own section table."""
-        import struct
-
         index = build_wc_index_plus(paper_figure3(), "identity")
         buffer = io.BytesIO()
         save_frozen(index, buffer)
@@ -403,7 +402,7 @@ def sample_weighted_graph() -> WeightedGraph:
 
 
 class TestBinaryVariants:
-    """The v2 format: one header, three index families."""
+    """The variant tag: one header, three index families."""
 
     def binary_round_trip(self, index):
         buffer = io.BytesIO()
@@ -427,7 +426,7 @@ class TestBinaryVariants:
         loaded = self.binary_round_trip(index)
         assert isinstance(loaded, FrozenWeightedWCIndex)
         assert loaded.tracks_parents == track_parents
-        assert loaded.raw_arrays() == index.freeze().raw_arrays()
+        assert loaded.raw_sides() == index.freeze().raw_sides()
 
     def test_answers_preserved_across_families(self):
         queries = [
@@ -492,24 +491,18 @@ class TestBinaryVariants:
         return bytearray(buffer.getvalue())
 
     def test_unknown_variant_rejected(self):
-        import struct
-
         data = self.corrupt_header(build_wc_index_plus(paper_figure3()))
         struct.pack_into("<H", data, 6, 99)  # variant halfword
         with pytest.raises(IndexFormatError, match="variant"):
             load_frozen(io.BytesIO(bytes(data)))
 
     def test_section_count_mismatch_rejected(self):
-        import struct
-
         data = self.corrupt_header(build_wc_index_plus(paper_figure3()))
         struct.pack_into("<H", data, 10, 7)  # section-count halfword
         with pytest.raises(IndexFormatError, match="sections"):
             load_frozen(io.BytesIO(bytes(data)))
 
     def test_section_offset_mismatch_rejected(self):
-        import struct
-
         data = self.corrupt_header(build_wc_index_plus(paper_figure3()))
         # Shift the second section's table offset (the offsets array):
         # v3 table entries are (offset, nbytes) int64 pairs at byte 24.
@@ -522,8 +515,6 @@ class TestBinaryVariants:
             load_frozen(io.BytesIO(bytes(data)))
 
     def test_size_stamp_mismatch_rejected(self):
-        import struct
-
         data = self.corrupt_header(build_wc_index_plus(paper_figure3()))
         # Bit-flip the second section's size stamp.
         at = 24 + 16 + 8
@@ -537,8 +528,6 @@ class TestBinaryVariants:
     def test_directed_sides_validated(self):
         # Corrupt a hub rank in the out-side of a directed image: the
         # integrity scan must reject it, validate=False must load it raw.
-        import struct
-
         index = DirectedWCIndex(sample_digraph())
         buffer = io.BytesIO()
         save_frozen(index, buffer)
@@ -553,7 +542,7 @@ class TestBinaryVariants:
     def test_weighted_parent_entry_validated(self):
         index = WeightedWCIndex(sample_weighted_graph(), track_parents=True)
         frozen = index.freeze()
-        _, _, _, _, pv, pe = frozen.raw_arrays()
+        ((_, _, _, _, pv, pe),) = frozen.raw_sides()
         target = next(i for i in range(len(pv)) if pv[i] >= 0)
         pe[target] = 1_000
         buffer = io.BytesIO()
@@ -561,39 +550,10 @@ class TestBinaryVariants:
         with pytest.raises(IndexFormatError, match="parent entry"):
             load_frozen(io.BytesIO(buffer.getvalue()))
 
-    def test_v1_images_still_load(self):
-        # Back-compat: a PR 1 undirected image (version 1, no variant
-        # tag or section table) loads into the same frozen engine.
-        import struct
-        from array import array
-
-        index = build_wc_index_plus(paper_figure3(), "identity")
-        frozen = index.freeze()
-        offsets, hubs, dists, quals, _ = frozen.raw_arrays()
-        v1 = struct.pack("<4sHHq", b"WCXB", 1, 0, frozen.num_vertices)
-        v1 += array("q", frozen.order).tobytes()
-        v1 += offsets.tobytes() + hubs.tobytes()
-        v1 += dists.tobytes() + quals.tobytes()
-        loaded = load_frozen(io.BytesIO(v1))
-        assert loaded.raw_arrays()[:4] == frozen.raw_arrays()[:4]
-        # describe_frozen reconstructs the v1 layout from the body: its
-        # hand-computed offsets must agree with where the loader reads.
-        described = describe_frozen(io.BytesIO(v1))
-        assert described["format_version"] == 1
-        assert described["total_bytes"] == len(v1)
-        n = frozen.num_vertices
-        by_name = {s["name"]: s for s in described["sections"]}
-        assert by_name["order"]["offset"] == 16
-        assert by_name["offsets"]["offset"] == 16 + 8 * n
-        assert by_name["hubs"]["offset"] == 16 + 8 * n + 8 * (n + 1)
-        assert by_name["hubs"]["nbytes"] == 4 * frozen.entry_count()
-
     def test_validate_false_skips_order_permutation_check(self):
         # Trusted attaches must stay near-constant in index size, so the
         # O(n log n) permutation scan rides the validate flag; a
         # duplicated (in-range) order id loads raw without it.
-        import struct
-
         index = build_wc_index_plus(paper_figure3(), "identity")
         buffer = io.BytesIO()
         save_frozen(index, buffer)
@@ -609,37 +569,50 @@ class TestBinaryVariants:
         with pytest.raises(IndexFormatError, match="inconsistent"):
             load_frozen(io.BytesIO(bytes(data)), validate=False)
 
-    def test_v2_images_still_load(self):
-        # Back-compat: a PR 3 image (version 2, variant tag + unstamped
-        # offset table, back-to-back sections) loads into the same
-        # engine as the v3 writer produces.
-        import struct
+    def assert_legacy_rejected(self, version, tmp_path):
+        # A hand-built v1 (no variant tag or section table) or v2
+        # (variant tag + unstamped offset table) image of one index:
+        # every reader names the version instead of loading it.
+        import os
+        import subprocess
+        import sys
         from array import array
 
-        index = build_wc_index_plus(paper_figure3(), "identity")
-        frozen = index.freeze()
-        sections = [array("q", frozen.order)] + [
-            part for part in frozen.raw_arrays() if part is not None
-        ]
-        header = struct.pack(
-            "<4sHHHHq", b"WCXB", 2, 0, 0, len(sections), frozen.num_vertices
+        import repro
+
+        frozen = build_wc_index_plus(paper_figure3(), "identity").freeze()
+        sections = [array("q", frozen.order), *frozen.raw_sides()[0]]
+        body = b"".join(section.tobytes() for section in sections)
+        n = frozen.num_vertices
+        if version == 1:
+            image = struct.pack("<4sHHq", b"WCXB", 1, 0, n) + body
+        else:
+            head = struct.pack("<4sHHHHq", b"WCXB", 2, 0, 0, len(sections), n)
+            table, cursor = array("q"), len(head) + 8 * len(sections)
+            for section in sections:
+                table.append(cursor)
+                cursor += section.itemsize * len(section)
+            image = head + table.tobytes() + body
+        message = f"version {version}"
+        with pytest.raises(IndexFormatError, match=message):
+            load_frozen(io.BytesIO(image))
+        with pytest.raises(IndexFormatError, match=message):
+            describe_frozen(io.BytesIO(image))
+        path = tmp_path / "legacy.wcxb"
+        path.write_bytes(image)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0]))
+        stats = subprocess.run(
+            [sys.executable, "-m", "repro", "stats", "--index", str(path)],
+            capture_output=True, text=True, env=env,
         )
-        cursor = len(header) + 8 * len(sections)
-        table = array("q")
-        for section in sections:
-            table.append(cursor)
-            cursor += section.itemsize * len(section)
-        v2 = header + table.tobytes() + b"".join(
-            section.tobytes() for section in sections
-        )
-        loaded = load_frozen(io.BytesIO(v2))
-        assert loaded.order == frozen.order
-        assert loaded.raw_arrays()[:4] == frozen.raw_arrays()[:4]
-        described = describe_frozen(io.BytesIO(v2))
-        assert described["format_version"] == 2
-        assert [s["name"] for s in described["sections"]] == [
-            "order", "offsets", "hubs", "dists", "quals",
-        ]
+        assert stats.returncode != 0
+        assert message in stats.stderr
+
+    def test_v1_images_rejected(self, tmp_path):
+        self.assert_legacy_rejected(1, tmp_path)
+
+    def test_v2_images_rejected(self, tmp_path):
+        self.assert_legacy_rejected(2, tmp_path)
 
 
 class TestV3Layout:
@@ -729,7 +702,7 @@ class TestMmapAttach:
             for v in range(index.num_vertices):
                 assert attached.entries_of(v) == index.entries_of(v)
             # Genuinely zero-copy: the flat stores are views into the map.
-            offsets, hubs, dists, quals, _ = attached.raw_arrays()
+            ((offsets, hubs, dists, quals),) = attached.raw_sides()
             for view in (offsets, hubs, dists, quals):
                 assert isinstance(view, memoryview)
                 assert isinstance(view.obj, mmap_module.mmap)
@@ -744,8 +717,6 @@ class TestMmapAttach:
             attached.release()
 
     def test_mmap_validate_rejects_corruption(self, saved, tmp_path):
-        import struct
-
         _, path = saved
         data = bytearray(path.read_bytes())
         struct.pack_into("<i", data, section_offset(data, "hubs"), 99)
@@ -760,21 +731,19 @@ class TestMmapAttach:
         engine.release()
 
     def test_mmap_requires_v3(self, tmp_path):
-        import struct
         from array import array
 
         frozen = build_wc_index_plus(paper_figure3(), "identity").freeze()
-        offsets, hubs, dists, quals, _ = frozen.raw_arrays()
         v1 = struct.pack("<4sHHq", b"WCXB", 1, 0, frozen.num_vertices)
         v1 += array("q", frozen.order).tobytes()
-        v1 += offsets.tobytes() + hubs.tobytes()
-        v1 += dists.tobytes() + quals.tobytes()
+        v1 += b"".join(view.tobytes() for view in frozen.raw_sides()[0])
         path = tmp_path / "legacy.wcxb"
         path.write_bytes(v1)
         with pytest.raises(IndexFormatError, match="version 1"):
             load_frozen(path, mode="mmap")
-        # The copying path still reads it.
-        assert load_frozen(path).entry_count() == frozen.entry_count()
+        # The copying path rejects it too: no reader is left for v1.
+        with pytest.raises(IndexFormatError, match="version 1"):
+            load_frozen(path)
 
     def test_mmap_requires_a_path(self, saved):
         _, path = saved

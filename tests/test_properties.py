@@ -231,7 +231,7 @@ class TestExtensionEngineAgreement:
         save_frozen(index, buffer)
         buffer.seek(0)
         loaded = load_frozen(buffer)
-        assert loaded.raw_arrays() == index.freeze().raw_arrays()
+        assert loaded.raw_sides() == index.freeze().raw_sides()
         assert loaded.distance(s, t, w) == index.distance(s, t, w)
 
     @given(quality_digraphs(max_vertices=8))
@@ -244,7 +244,7 @@ class TestExtensionEngineAgreement:
     def test_weighted_freeze_thaw_is_identity(self, graph):
         index = WeightedWCIndex(graph)
         frozen = index.freeze()
-        assert frozen.thaw().freeze().raw_arrays() == frozen.raw_arrays()
+        assert frozen.thaw().freeze().raw_sides() == frozen.raw_sides()
 
 
 class TestStructuralInvariants:
@@ -346,7 +346,7 @@ class TestSerializationProperties:
         index = build_wc_index_plus(graph, "degree")
         frozen = index.freeze()
         refrozen = frozen.thaw().freeze()
-        assert frozen.raw_arrays()[:4] == refrozen.raw_arrays()[:4]
+        assert frozen.raw_sides() == refrozen.raw_sides()
 
 
 class TestProfileProperties:
