@@ -82,8 +82,6 @@ INF = float("inf")
 HUB_TYPECODE = "i"
 VALUE_TYPECODE = "d"
 OFFSET_TYPECODE = "q"
-#: Typecodes of a side's ``hubs`` / ``dists`` / ``quals`` columns.
-_LABEL_TYPECODES = (HUB_TYPECODE, VALUE_TYPECODE, VALUE_TYPECODE)
 
 #: Modelled bytes per group-directory record: hub rank (4) plus the two
 #: 8-byte positions — what a flat ``(i, q, q)`` triple costs.
@@ -588,47 +586,32 @@ def splice_column(old_offsets, old_column, typecode: str, replacements) -> array
     return values
 
 
-def splice_label_side(
-    old_side: "_FlatSide", replacements, parent_replacements=None
-) -> "_FlatSide":
+def splice_label_side(old_side: "_FlatSide", replacements) -> "_FlatSide":
     """A new :class:`_FlatSide` with the label sets of the vertices in
-    ``replacements`` (``vertex -> (hubs, dists, quals)`` parallel
-    sequences) swapped in.
+    ``replacements`` swapped in: ``vertex -> one sequence per
+    entry-parallel column`` — ``hubs, dists, quals``, then each parent
+    column of a parent-tracking side.
 
-    ``parent_replacements`` (``vertex -> one sequence per parent
-    column``) must cover the same vertices when the side tracks parents.
     The result owns its arrays and is bit-identical to freezing the
     equivalent list index from scratch.
     """
     n = len(old_side.offsets) - 1
-    old_offsets = old_side.offsets
+    old_offsets, *old_columns = old_side.raw_arrays()
+    if any(len(chunks) != len(old_columns) for chunks in replacements.values()):
+        raise ValueError(
+            f"replacements must carry one sequence per column of the side "
+            f"({len(old_columns)})"
+        )
     offsets = spliced_offsets(
-        old_offsets, {v: len(triple[0]) for v, triple in replacements.items()}
+        old_offsets, {v: len(chunks[0]) for v, chunks in replacements.items()}
     )
     columns = [
         splice_column(
-            old_offsets, column, typecode,
-            {v: triple[i] for v, triple in replacements.items()},
+            old_offsets, column, column.format,
+            {v: chunks[i] for v, chunks in replacements.items()},
         )
-        for i, (column, typecode) in enumerate(
-            zip(old_side.raw_arrays()[1:4], _LABEL_TYPECODES)
-        )
+        for i, column in enumerate(old_columns)
     ]
-    if old_side.parents:
-        if parent_replacements is None or sorted(
-            parent_replacements
-        ) != sorted(replacements):
-            raise ValueError(
-                "parent replacements must cover exactly the replaced "
-                "vertices of a parent-tracking side"
-            )
-        columns += [
-            splice_column(
-                old_offsets, column, HUB_TYPECODE,
-                {v: chunks[i] for v, chunks in parent_replacements.items()},
-            )
-            for i, column in enumerate(old_side.parents)
-        ]
     return _FlatSide(n, offsets, *columns)
 
 

@@ -75,7 +75,6 @@ from pathlib import Path
 from typing import BinaryIO, List, Optional, TextIO, Union
 
 from .frozen import (
-    _LABEL_TYPECODES,
     ENGINES,
     FAMILIES,
     HUB_TYPECODE,
@@ -107,6 +106,8 @@ _ALIGNMENT = 8
 _TABLE_AT = 24
 
 _ITEMSIZES = {HUB_TYPECODE: 4, VALUE_TYPECODE: 8, OFFSET_TYPECODE: 8}
+#: Typecodes of a label side's ``hubs`` / ``dists`` / ``quals`` sections.
+_LABEL_TYPECODES = (HUB_TYPECODE, VALUE_TYPECODE, VALUE_TYPECODE)
 
 #: Delta blobs: incremental label replacements appended *after* the base
 #: sections of a v3 image (:func:`append_delta`).  Each blob carries the
@@ -908,9 +909,8 @@ def _apply_delta_blob(engine, blob, n: int):
         for i, old_side in enumerate(old_sides):
             sizes, *columns = blob[1 + i * per_side:1 + (i + 1) * per_side]
             chunks = [_column_chunks(ids, sizes, column) for column in columns]
-            repl = {v: tuple(chunk[v] for chunk in chunks[:3]) for v in ids}
-            parent_repl = {v: tuple(chunk[v] for chunk in chunks[3:]) for v in ids}
-            sides.append(splice_label_side(old_side, repl, parent_repl))
+            repl = {v: [chunk[v] for chunk in chunks] for v in ids}
+            sides.append(splice_label_side(old_side, repl))
         return type(engine).from_sides(engine.order, sides)
     except (ValueError, IndexError) as exc:
         if isinstance(exc, IndexFormatError):

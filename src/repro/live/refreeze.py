@@ -120,8 +120,7 @@ def incremental_refreeze(old_frozen, index, dirty):
     sides = [
         splice_label_side(
             old_side,
-            {v: labels(v) for v in dirty},
-            {v: parents(v) for v in dirty} if parents else None,
+            {v: (*labels(v), *(parents(v) if parents else ())) for v in dirty},
         )
         for old_side, (labels, parents) in zip(
             old_frozen.sides(), family.side_sources(index)

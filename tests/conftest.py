@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.graph.generators import (
-    gnm_random_graph,
     grid_road_network,
     paper_figure1,
     paper_figure3,
@@ -25,8 +22,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("repro")
-
-INF = float("inf")
 
 
 @pytest.fixture
@@ -50,25 +45,3 @@ def small_road() -> Graph:
 def small_social() -> Graph:
     return scale_free_network(60, 3, num_qualities=5, seed=3)
 
-
-def random_graph(trial: int, max_n: int = 16, num_qualities: int = 4) -> Graph:
-    """Deterministic 'random' graph for loop-style tests."""
-    rng = random.Random(trial)
-    n = rng.randint(2, max_n)
-    max_edges = n * (n - 1) // 2
-    m = rng.randint(0, min(3 * n, max_edges))
-    return gnm_random_graph(n, m, num_qualities=num_qualities, seed=trial)
-
-
-def thresholds_for(graph: Graph):
-    """Interesting constraint values: each distinct quality, one below the
-    minimum, midpoints, and one above the maximum."""
-    qualities = graph.distinct_qualities()
-    if not qualities:
-        return [1.0]
-    values = list(qualities)
-    values.append(qualities[0] - 0.5)
-    values.append(qualities[-1] + 1.0)
-    for a, b in zip(qualities, qualities[1:]):
-        values.append((a + b) / 2.0)
-    return values

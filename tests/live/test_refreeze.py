@@ -28,15 +28,6 @@ from repro.live import (
 from repro.live.refreeze import diff_image, image_bytes
 
 
-def sample_queries(n):
-    return [
-        (s, t, w)
-        for s in range(n)
-        for t in range(n)
-        for w in (0.5, 1.5, 2.5, 3.5)
-    ]
-
-
 def make_live_undirected(seed=3):
     graph = gnm_random_graph(12, 20, num_qualities=3, seed=seed)
     return LiveWCIndex(graph.copy())
