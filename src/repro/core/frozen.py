@@ -172,17 +172,27 @@ class Family:
 
 
 UNDIRECTED = Family(
-    variant=0, name="undirected", symmetric=True,
-    parent_columns=("parents",), parent_accessor="parent_list",
-    thaw_target="labels.WCIndex", validate_parents=_check_parent_ids,
+    variant=0,
+    name="undirected",
+    symmetric=True,
+    parent_columns=("parents",),
+    parent_accessor="parent_list",
+    thaw_target="labels.WCIndex",
+    validate_parents=_check_parent_ids,
 )
 DIRECTED = Family(
-    variant=1, name="directed", symmetric=False,
-    parent_columns=("parents",), parent_accessor="parent_list",
-    thaw_target="directed.DirectedWCIndex", validate_parents=_check_parent_ids,
+    variant=1,
+    name="directed",
+    symmetric=False,
+    parent_columns=("parents",),
+    parent_accessor="parent_list",
+    thaw_target="directed.DirectedWCIndex",
+    validate_parents=_check_parent_ids,
 )
 WEIGHTED = Family(
-    variant=2, name="weighted", symmetric=True,
+    variant=2,
+    name="weighted",
+    symmetric=True,
     parent_columns=("parent_vertices", "parent_entries"),
     parent_accessor="parent_pairs",
     thaw_target="weighted.WeightedWCIndex",
@@ -308,8 +318,12 @@ class FrozenIndex:
             ) from None
         out, inn = self._out, self._in
         return merge(
-            out.directory()[s], out.dists, out.quals,
-            inn.directory()[t], inn.dists, inn.quals,
+            out.directory()[s],
+            out.dists,
+            out.quals,
+            inn.directory()[t],
+            inn.dists,
+            inn.quals,
             w,
         )
 
@@ -322,8 +336,12 @@ class FrozenIndex:
         self._check_vertex(t)
         out, inn = self._out, self._in
         best, a, b = merge_linear_flat_with_witness(
-            out.directory()[s], out.dists, out.quals,
-            inn.directory()[t], inn.dists, inn.quals,
+            out.directory()[s],
+            out.dists,
+            out.quals,
+            inn.directory()[t],
+            inn.dists,
+            inn.quals,
             w,
         )
         if a < 0:
@@ -607,7 +625,9 @@ def splice_label_side(old_side: "_FlatSide", replacements) -> "_FlatSide":
     )
     columns = [
         splice_column(
-            old_offsets, column, column.format,
+            old_offsets,
+            column,
+            column.format,
             {v: chunks[i] for v, chunks in replacements.items()},
         )
         for i, column in enumerate(old_columns)

@@ -587,8 +587,11 @@ def load_frozen(
     if mode == "mmap":
         raise ValueError("mode='mmap' requires a file path, not a handle")
     return _engine_of_image(
-        memoryview(source.read()), attach=False, exact=True,
-        validate=validate, backend=backend,
+        memoryview(source.read()),
+        attach=False,
+        exact=True,
+        validate=validate,
+        backend=backend,
     )
 
 
@@ -812,8 +815,9 @@ def _scan_delta_blobs(data, family, with_parents: bool, table: array):
         if magic != DELTA_MAGIC:
             break
         try:
-            sections, end = _read_delta_blob(data, cursor, layout, num_dirty,
-                                             dversion)
+            sections, end = _read_delta_blob(
+                data, cursor, layout, num_dirty, dversion
+            )
         except IndexFormatError as exc:
             # A damaged blob fails the whole load, but the bytes up to
             # the previous blob's end (``end``) are a consistent image
