@@ -1,10 +1,29 @@
-"""Legacy setuptools shim.
+"""Package metadata for ``repro``, the WC-INDEX reproduction.
 
-The offline environment lacks the ``wheel`` package, so PEP 660 editable
-installs cannot build; this shim lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+All metadata lives here (there is no pyproject.toml), so ``pip install
+-e .`` works offline through ``setup.py develop`` without the ``wheel``
+package.  The version is read from ``src/repro/__init__.py``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"), re.M
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description=(
+        "WC-INDEX: quality constrained shortest distance queries "
+        "in large graphs"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    extras_require={"numpy": ["numpy"]},
+)

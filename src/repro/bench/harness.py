@@ -24,7 +24,7 @@ from ..baselines import (
     PartitionedBFS,
     PartitionedDijkstra,
 )
-from ..core import WCIndexBuilder, numpy_available
+from ..core import WCIndexBuilder
 from ..graph.graph import Graph
 from ..workloads.queries import QueryWorkload
 
@@ -99,18 +99,6 @@ def time_build(builder: Callable[[], object]) -> Tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def best_seconds(action: Callable[[], object], repeats: int) -> float:
-    """Minimum wall clock over ``repeats`` runs of ``action`` — the
-    standard measurement of the smoke-gate benchmarks (the best run is
-    the least noise-contaminated)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        action()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def time_queries(
     distance: Callable[[int, int, float], float],
     workload: QueryWorkload,
@@ -160,77 +148,6 @@ EXTENSION_QUERY_METHODS = (
     "WC-W",
     "WC-FROZEN-W",
 )
-
-#: The serving line-up over one saved ``.wcxb`` image: the read-loaded
-#: frozen engine, the mmap-attached engine, the mmap-attached engine on
-#: the vectorized numpy kernel backend (``WC-NUMPY``, present only when
-#: numpy is importable), and the shared-memory ``QueryServer`` pool
-#: (``WC-SHM-N`` = N worker processes).  All rows answer through the
-#: same pluggable batch kernels — identical answers, different
-#: storage/process topology and backend.  The legacy rows stay pinned
-#: to the ``stdlib`` backend so their trajectories keep comparing
-#: like with like.
-SERVING_QUERY_METHODS = tuple(
-    ["WC-FROZEN", "WC-MMAP"]
-    + (["WC-NUMPY"] if numpy_available() else [])
-    + ["WC-SHM-2"]
-)
-
-
-class ServingLineup:
-    """The :data:`SERVING_QUERY_METHODS` engines over one ``.wcxb`` image.
-
-    Every tier is wrapped in the unified
-    :class:`~repro.serve.client.QueryClient` API — ``clients`` maps
-    method names to clients (the shared-memory row is named
-    ``WC-SHM-<workers>``), and ``batch_engines`` keeps the historical
-    ``name -> distance_many`` callable view for the timing loops.
-    Close (or use as a context manager) to close every client, shut the
-    worker pool down, release the mmap attaches, and unlink the shared
-    segment.
-    """
-
-    def __init__(self, path, *, workers: int = 2) -> None:
-        from ..core.serialize import load_frozen
-        from ..serve import InProcessClient, PoolClient, QueryServer
-        from ..serve.client import QueryClient
-
-        self.path = path
-        self.frozen = load_frozen(path, backend="stdlib")
-        self.mapped = load_frozen(
-            path, mode="mmap", validate=False, backend="stdlib"
-        )
-        self.vectorized = (
-            load_frozen(path, mode="mmap", validate=False, backend="numpy")
-            if numpy_available()
-            else None
-        )
-        self.server = QueryServer(path, workers=workers, kernel="stdlib")
-        self.clients: Dict[str, QueryClient] = {
-            "WC-FROZEN": InProcessClient(self.frozen),
-            "WC-MMAP": InProcessClient(self.mapped, owns_engine=True),
-        }
-        if self.vectorized is not None:
-            self.clients["WC-NUMPY"] = InProcessClient(
-                self.vectorized, owns_engine=True
-            )
-        self.clients[f"WC-SHM-{workers}"] = PoolClient(
-            self.server, owns_server=True
-        )
-        self.batch_engines: Dict[str, Callable] = {
-            name: client.distance_many
-            for name, client in self.clients.items()
-        }
-
-    def close(self) -> None:
-        for client in self.clients.values():
-            client.close()
-
-    def __enter__(self) -> "ServingLineup":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @dataclass

@@ -1,71 +1,10 @@
-"""Render experiment tables as aligned text / markdown, and maintain the
-perf-trajectory file the CI smoke gates grow over time."""
+"""Render experiment tables as aligned text / markdown."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from .harness import ExperimentTable
-
-#: Order in which engine families appear in the trajectory file.
-_FAMILY_ORDER = ("undirected", "directed", "weighted")
-
-
-def merge_query_engine_rows(
-    path, gates: Dict[str, float], rows: Iterable[dict]
-) -> dict:
-    """Merge benchmark rows into the ``BENCH_query_engines.json``
-    trajectory file and write it back.
-
-    Every row carries a ``"family"`` tag (``undirected`` / ``directed`` /
-    ``weighted``).  Rows of the families being written replace that
-    family's old rows; rows of other families — and their gates — are
-    preserved, so the two smoke benchmarks can each refresh their slice
-    without clobbering the other's trajectory.  The legacy PR 1 layout
-    (top-level ``"gate"``, untagged rows) is read as the undirected
-    family.  Returns the merged payload.
-    """
-    rows = list(rows)
-    path = Path(path)
-    old_results: List[dict] = []
-    old_gates: Dict[str, float] = {}
-    if path.exists():
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                previous = json.load(handle)
-        except (OSError, ValueError):
-            previous = {}
-        if isinstance(previous, dict):
-            for row in previous.get("results", []) or []:
-                if isinstance(row, dict):
-                    row.setdefault("family", "undirected")
-                    old_results.append(row)
-            stored = previous.get("gates")
-            if isinstance(stored, dict):
-                old_gates.update(stored)
-            elif "gate" in previous:  # legacy single-gate layout
-                old_gates["undirected"] = previous["gate"]
-    replaced = {row.get("family", "undirected") for row in rows}
-    merged_gates = {**old_gates, **gates}
-    merged_rows = [
-        row for row in old_results if row.get("family") not in replaced
-    ] + rows
-    merged_rows.sort(
-        key=lambda row: _FAMILY_ORDER.index(row.get("family", "undirected"))
-        if row.get("family") in _FAMILY_ORDER
-        else len(_FAMILY_ORDER)
-    )
-    payload = {
-        "benchmark": "query_engines",
-        "gates": merged_gates,
-        "results": merged_rows,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
 
 
 def format_table(table: ExperimentTable) -> str:

@@ -2,8 +2,9 @@
 
 A *trace* follows one client request through the serving stack.  The
 trace id is minted at the edge — :class:`repro.serve.client.NetClient`
-stamps one into every v2 QUERY frame; the server mints one for legacy
-v1 clients — and the layers the request passes through append *spans*:
+stamps one into the QUERY frames it force-samples; the server mints one
+for frames that carry none — and the layers the request passes through
+append *spans*:
 
 ========================  =============================================
 span                      meaning
@@ -67,7 +68,7 @@ SPAN_NAMES = (
 _TRACE_ID_SCOPE = 1 << 64
 
 # Process-unique prefix + counter so two clients in one process (or a
-# client and a server minting for v1 peers) do not collide.
+# client and a server minting for untraced frames) do not collide.
 _mint_prefix = random.getrandbits(31) << 32
 _mint_counter = itertools.count(1)
 

@@ -89,7 +89,6 @@ from .health import epoch_of, pool_report
 from .net import NetServer, NetServerThread
 from .protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameDecoder,
     FrameTooLargeError,
     ProtocolError,
@@ -118,7 +117,6 @@ __all__ = [
     "NetServer",
     "NetServerThread",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "PoolClient",
     "PoolUnavailableError",
     "ProtocolError",

@@ -15,12 +15,11 @@ transports behind it:
   :class:`~repro.serve.net.NetServer` over TCP: same answers again,
   now from another process or another machine.
 
-Tests, benches and the load generator drive every tier through this one
-interface (``bench/harness.ServingLineup`` builds its engine line-up
-from it), so "swap the transport" is a constructor change, not a
-rewrite.  Every transport's ``distance_many`` preserves query order and
-raises the engine's own ``ValueError`` for malformed queries — over the
-wire included, message bytes identical.
+Tests, the benchmark and the load generator drive every tier through
+this one interface, so "swap the transport" is a constructor change,
+not a rewrite.  Every transport's ``distance_many`` preserves query
+order and raises the engine's own ``ValueError`` for malformed queries
+— over the wire included, message bytes identical.
 """
 
 from __future__ import annotations

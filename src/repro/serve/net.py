@@ -42,7 +42,7 @@ slow-query log) or the Prometheus text exposition
 
 **Per-query tracing.**  Each server owns a
 :class:`~repro.obs.telemetry.Telemetry` bundle.  Sampled requests
-(every Nth admitted, or any carrying the v2 QUERY frame's
+(every Nth admitted, or any carrying the QUERY frame's
 ``FLAG_SAMPLE``) produce a span tree — ``queue-wait``,
 ``batch-coalesce``, ``kernel`` (with backend sub-spans like
 ``cache-lookup`` and ``pool-dispatch`` when the backend implements
@@ -51,9 +51,9 @@ slow-query log) or the Prometheus text exposition
 the slow-query log.  ``Telemetry.off()`` disables all of it (the
 overhead bench's untraced baseline).
 
-Protocol compatibility: the decoder accepts v1 and v2 frames, each
-connection remembers the version its peer last spoke, and every reply
-is stamped with it — a v1 client never sees a v2 header.
+A frame whose header carries a version other than
+:data:`~repro.serve.protocol.PROTOCOL_VERSION` is answered with a typed
+``ERR_VERSION`` error and the connection is closed.
 
 A failing coalesced batch is re-executed per request, so one malformed
 query poisons only its own request — its sender gets the engine's exact
@@ -129,9 +129,6 @@ class _Connection:
         #: connection concurrently with the reader answering HEALTH.
         self.write_lock = asyncio.Lock()
         self.alive = True
-        #: The header version the peer last spoke; every reply is
-        #: stamped with it so v1 clients never see a v2 header.
-        self.peer_version = protocol.PROTOCOL_VERSION
 
     async def send(self, data: bytes) -> None:
         """Write one encoded frame; a peer that vanished is not an error
@@ -175,33 +172,17 @@ class _Connection:
     async def _refuse(self, code: int, message: str) -> None:
         """Connection-scoped typed error; the stream has lost framing
         (or spoke a foreign version), so the connection ends after it."""
-        await self.send(
-            protocol.encode_error(
-                protocol.CONNECTION_SCOPE,
-                code,
-                message,
-                version=self.peer_version,
-            )
-        )
+        await self.send(protocol.encode_error(protocol.CONNECTION_SCOPE, code, message))
 
     async def _handle(self, frame: protocol.Frame) -> None:
-        self.peer_version = frame.version
         if frame.msg_type == protocol.MSG_HELLO:
-            await self.send(
-                protocol.encode_hello(
-                    self.server.hello_info(), version=frame.version
-                )
-            )
+            await self.send(protocol.encode_hello(self.server.hello_info()))
         elif frame.msg_type == protocol.MSG_HEALTH:
-            await self.send(
-                protocol.encode_health_report(
-                    self.server.health_report(), version=frame.version
-                )
-            )
+            await self.send(protocol.encode_health_report(self.server.health_report()))
         elif frame.msg_type == protocol.MSG_STATS:
             await self._handle_stats(frame)
         elif frame.msg_type == protocol.MSG_QUERY:
-            await self._handle_query(frame.payload, frame.version)
+            await self._handle_query(frame.payload)
         else:
             # ANSWER/ERROR are server-to-client only.
             await self._refuse(
@@ -216,10 +197,7 @@ class _Connection:
         except protocol.ProtocolError as exc:
             await self.send(
                 protocol.encode_error(
-                    protocol.CONNECTION_SCOPE,
-                    protocol.ERR_MALFORMED,
-                    str(exc),
-                    version=frame.version,
+                    protocol.CONNECTION_SCOPE, protocol.ERR_MALFORMED, str(exc)
                 )
             )
             return
@@ -227,13 +205,11 @@ class _Connection:
             body = self.server.prometheus_text()
         else:
             body = self.server.stats_report()
-        await self.send(protocol.encode_stats(fmt, body, version=frame.version))
+        await self.send(protocol.encode_stats(fmt, body))
 
-    async def _handle_query(self, payload: bytes, version: int) -> None:
+    async def _handle_query(self, payload: bytes) -> None:
         try:
-            request_id, queries, trace = protocol.decode_query(
-                payload, version=version
-            )
+            request_id, queries, trace = protocol.decode_query(payload)
         except protocol.ProtocolError as exc:
             # The frame itself was well-formed (framing holds), so the
             # connection survives; the request id is recovered when the
@@ -246,13 +222,9 @@ class _Connection:
                 if isinstance(exc, protocol.FrameTooLargeError)
                 else protocol.ERR_MALFORMED
             )
-            await self.send(
-                protocol.encode_error(
-                    request_id, code, str(exc), version=version
-                )
-            )
+            await self.send(protocol.encode_error(request_id, code, str(exc)))
             return
-        await self.server.submit(self, request_id, queries, trace=trace)
+        await self.server.submit(self, request_id, queries, trace)
 
 
 class NetServer:
@@ -374,23 +346,20 @@ class NetServer:
         connection: _Connection,
         request_id: int,
         queries: Sequence[Tuple[int, int, float]],
-        trace: Optional[Tuple[int, int]] = None,
+        trace: Tuple[int, int],
     ) -> None:
         """Admit or shed one decoded QUERY (called by connections).
 
-        ``trace`` is the v2 frame's ``(trace_id, flags)`` header (``None``
-        from v1 peers — the server mints an id if sampling picks one).
+        ``trace`` is the frame's ``(trace_id, flags)`` header (a zero
+        ``trace_id`` lets the server mint one if sampling picks the
+        request).
         """
         count = len(queries)
-        version = connection.peer_version
-        trace_id, flags = trace if trace is not None else (0, 0)
+        trace_id, flags = trace
         if not self._running:
             await connection.send(
                 protocol.encode_error(
-                    request_id,
-                    protocol.ERR_SHUTDOWN,
-                    "server is shutting down",
-                    version=version,
+                    request_id, protocol.ERR_SHUTDOWN, "server is shutting down"
                 )
             )
             return
@@ -413,20 +382,12 @@ class NetServer:
                     record.meta["cache_hit"] = True
                     looked_up = loop.time()
                     record.add_span("cache-lookup", started, looked_up)
-                    await connection.send(
-                        protocol.encode_answer(
-                            request_id, answers, version=version
-                        )
-                    )
+                    await connection.send(protocol.encode_answer(request_id, answers))
                     sent = loop.time()
                     record.add_span("serialize", looked_up, sent)
                     self.telemetry.finish_trace(record, sent)
                 else:
-                    await connection.send(
-                        protocol.encode_answer(
-                            request_id, answers, version=version
-                        )
-                    )
+                    await connection.send(protocol.encode_answer(request_id, answers))
                 return
         else:
             sampled = self.telemetry.should_sample(flags)
@@ -439,7 +400,6 @@ class NetServer:
                     f"admission budget full: {self.stats.in_flight} queries "
                     f"in flight, {count} more would exceed the "
                     f"{self._max_inflight}-query limit; back off and retry",
-                    version=version,
                 )
             )
             return
@@ -570,11 +530,7 @@ class NetServer:
             self.stats.answer(count, now - request.admitted_at)
             send_start = loop.time()
             await request.connection.send(
-                protocol.encode_answer(
-                    request.request_id,
-                    answers[at:at + count],
-                    version=request.connection.peer_version,
-                )
+                protocol.encode_answer(request.request_id, answers[at:at + count])
             )
             at += count
             if request.trace is not None:
@@ -593,12 +549,7 @@ class NetServer:
         self, request: _Request, code: int, message: str
     ) -> None:
         await request.connection.send(
-            protocol.encode_error(
-                request.request_id,
-                code,
-                message,
-                version=request.connection.peer_version,
-            )
+            protocol.encode_error(request.request_id, code, message)
         )
         self.stats.fail(len(request.queries))
 
@@ -621,7 +572,6 @@ class NetServer:
         return {
             "server": "repro-netserver",
             "protocol": protocol.PROTOCOL_VERSION,
-            "protocol_versions": list(protocol.SUPPORTED_VERSIONS),
             "max_batch": self._max_batch,
             "max_queries_per_frame": protocol.MAX_QUERIES_PER_FRAME,
         }

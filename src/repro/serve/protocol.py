@@ -8,21 +8,18 @@ Message types:
 
 * ``HELLO``  — handshake, both directions.  JSON payload; the client
   opens with one, the server echoes its identity (protocol version,
-  kernel backend).  A header carrying an unsupported version raises
-  :class:`VersionMismatchError` at the decoder, which the server
-  answers with a typed ``ERROR`` frame before closing.
+  kernel backend).
 * ``QUERY``  — a batch of ``(s, t, w)`` queries under one client-chosen
-  request id.  Version 2 inserts a trace header after the prefix
-  (``u32 request_id | u32 count | u64 trace_id | u8 flags | count ×
-  (i64, i64, f64)``); version 1 frames carry no trace header and stay
-  decodable (``trace_id`` 0 means "untraced"; :data:`FLAG_SAMPLE` asks
-  the server to record a full span tree for this request).
+  request id, behind a trace header (``u32 request_id | u32 count |
+  u64 trace_id | u8 flags | count × (i64, i64, f64)``; ``trace_id`` 0
+  means "untraced"; :data:`FLAG_SAMPLE` asks the server to record a
+  full span tree for this request).
 * ``ANSWER`` — the distances of one request, in query order
   (``u32 request_id | u32 count | count × f64``).  ``inf`` round-trips
   exactly (IEEE-754 doubles on the wire).
 * ``HEALTH`` — empty-payload request; the response carries the server's
   structured health report as JSON (stats, admission, backend pool).
-* ``STATS``  — telemetry scrape (v2).  The request carries one format
+* ``STATS``  — telemetry scrape.  The request carries one format
   byte (:data:`STATS_JSON` or :data:`STATS_PROMETHEUS`; empty payload
   means JSON); the response echoes the format byte followed by the
   body — a JSON stats report or the Prometheus text exposition.
@@ -30,11 +27,10 @@ Message types:
   message``).  ``request_id`` is :data:`CONNECTION_SCOPE` for failures
   not tied to one request (malformed frames, version mismatch).
 
-Version compatibility: this build speaks :data:`PROTOCOL_VERSION` (2)
-and still accepts every version in :data:`SUPPORTED_VERSIONS` — a v1
-client's frames decode fine (no trace header, no STATS), and the server
-answers with frames stamped with the *peer's* version so old decoders
-never see a foreign header.
+Versioning: this build speaks :data:`PROTOCOL_VERSION` only.  A header
+carrying any other version raises :class:`VersionMismatchError` at the
+decoder, which the server answers with a typed ``ERR_VERSION`` frame
+before closing.
 
 Hard caps guard both sides: a frame's payload may not exceed
 :data:`MAX_PAYLOAD_BYTES` and a ``QUERY`` may not carry more than
@@ -53,13 +49,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import ServeError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "MAGIC",
     "FLAG_SAMPLE",
     "MSG_HELLO",
@@ -106,9 +101,6 @@ __all__ = [
 #: Protocol version this build speaks (bumped on incompatible changes).
 #: v2 added the QUERY trace header and the STATS frame.
 PROTOCOL_VERSION = 2
-
-#: Versions the decoder still accepts (v1 peers get v1 answers).
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Frame magic: ``"WQ"`` big-endian (WC-INDEX query protocol).
 MAGIC = 0x5751
@@ -187,27 +179,21 @@ class VersionMismatchError(ProtocolError):
     """The peer speaks an unsupported protocol version."""
 
     def __init__(self, peer_version: int) -> None:
-        supported = "/".join(str(v) for v in SUPPORTED_VERSIONS)
         super().__init__(
             f"peer speaks protocol version {peer_version}, "
-            f"this build speaks {supported}"
+            f"this build speaks {PROTOCOL_VERSION}"
         )
         self.peer_version = peer_version
 
 
 class Frame:
-    """One decoded frame: message type + raw payload bytes, plus the
-    header version it arrived with (so servers can answer v1 peers with
-    v1 frames)."""
+    """One decoded frame: message type + raw payload bytes."""
 
-    __slots__ = ("msg_type", "payload", "version")
+    __slots__ = ("msg_type", "payload")
 
-    def __init__(
-        self, msg_type: int, payload: bytes, version: int = PROTOCOL_VERSION
-    ) -> None:
+    def __init__(self, msg_type: int, payload: bytes) -> None:
         self.msg_type = msg_type
         self.payload = payload
-        self.version = version
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,9 +210,7 @@ class Frame:
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def encode_frame(
-    msg_type: int, payload: bytes = b"", *, version: int = PROTOCOL_VERSION
-) -> bytes:
+def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
     """One wire frame: header + payload."""
     if msg_type not in MSG_NAMES:
         raise ProtocolError(f"unknown message type {msg_type}")
@@ -235,7 +219,7 @@ def encode_frame(
             f"payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte frame cap"
         )
-    return _HEADER.pack(MAGIC, version, msg_type, len(payload)) + payload
+    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, len(payload)) + payload
 
 
 class FrameDecoder:
@@ -270,7 +254,7 @@ class FrameDecoder:
                 raise ProtocolError(
                     f"bad frame magic 0x{magic:04x} (expected 0x{MAGIC:04x})"
                 )
-            if version not in SUPPORTED_VERSIONS:
+            if version != PROTOCOL_VERSION:
                 raise VersionMismatchError(version)
             if msg_type not in MSG_NAMES:
                 raise ProtocolError(f"unknown message type {msg_type}")
@@ -283,19 +267,15 @@ class FrameDecoder:
                 return frames
             payload = bytes(self._buffer[_HEADER.size:_HEADER.size + size])
             del self._buffer[:_HEADER.size + size]
-            frames.append(Frame(msg_type, payload, version))
+            frames.append(Frame(msg_type, payload))
 
 
 # ----------------------------------------------------------------------
 # Payload codecs
 # ----------------------------------------------------------------------
-def encode_hello(info: dict, *, version: int = PROTOCOL_VERSION) -> bytes:
+def encode_hello(info: dict) -> bytes:
     """HELLO frame: JSON identity blob (protocol version, peer name)."""
-    return encode_frame(
-        MSG_HELLO,
-        json.dumps(info, sort_keys=True).encode("utf-8"),
-        version=version,
-    )
+    return encode_frame(MSG_HELLO, json.dumps(info, sort_keys=True).encode("utf-8"))
 
 
 def decode_hello(payload: bytes) -> dict:
@@ -316,14 +296,10 @@ def encode_query(
     *,
     trace_id: int = 0,
     flags: int = 0,
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
-    """QUERY frame: one request id + its ``(s, t, w)`` batch.
-
-    Version 2 carries a trace header (``trace_id`` 0 = untraced;
-    :data:`FLAG_SAMPLE` forces a span tree).  Version 1 has no place
-    for it — asking for one there is a caller bug, not a silent drop.
-    """
+    """QUERY frame: one request id, its trace header (``trace_id`` 0 =
+    untraced; :data:`FLAG_SAMPLE` forces a span tree) and its
+    ``(s, t, w)`` batch."""
     if not 0 <= request_id < CONNECTION_SCOPE:
         raise ProtocolError(f"request id {request_id} out of range")
     if len(queries) > MAX_QUERIES_PER_FRAME:
@@ -331,31 +307,25 @@ def encode_query(
             f"{len(queries)} queries exceed the per-frame cap of "
             f"{MAX_QUERIES_PER_FRAME}; split the batch"
         )
-    parts = [_QUERY_PREFIX.pack(request_id, len(queries))]
-    if version >= 2:
-        if not 0 <= trace_id < (1 << 64):
-            raise ProtocolError(f"trace id {trace_id} out of range")
-        if not 0 <= flags < 256:
-            raise ProtocolError(f"trace flags {flags} out of range")
-        parts.append(_QUERY_TRACE.pack(trace_id, flags))
-    elif trace_id or flags:
-        raise ProtocolError(
-            "protocol version 1 QUERY frames cannot carry a trace header"
-        )
+    if not 0 <= trace_id < (1 << 64):
+        raise ProtocolError(f"trace id {trace_id} out of range")
+    if not 0 <= flags < 256:
+        raise ProtocolError(f"trace flags {flags} out of range")
+    parts = [
+        _QUERY_PREFIX.pack(request_id, len(queries)),
+        _QUERY_TRACE.pack(trace_id, flags),
+    ]
     pack = _QUERY_ITEM.pack
     for s, t, w in queries:
         parts.append(pack(s, t, w))
-    return encode_frame(MSG_QUERY, b"".join(parts), version=version)
+    return encode_frame(MSG_QUERY, b"".join(parts))
 
 
 def decode_query(
-    payload: bytes, *, version: int = PROTOCOL_VERSION
-) -> Tuple[int, List[Tuple[int, int, float]], Optional[Tuple[int, int]]]:
-    """Decode a QUERY payload of the given header version.
-
-    Returns ``(request_id, queries, trace)`` where ``trace`` is ``None``
-    for v1 frames and ``(trace_id, flags)`` for v2.
-    """
+    payload: bytes,
+) -> Tuple[int, List[Tuple[int, int, float]], Tuple[int, int]]:
+    """Decode a QUERY payload into ``(request_id, queries, trace)``,
+    where ``trace`` is the ``(trace_id, flags)`` header."""
     if len(payload) < _QUERY_PREFIX.size:
         raise ProtocolError("truncated QUERY payload: missing prefix")
     request_id, count = _QUERY_PREFIX.unpack_from(payload)
@@ -364,13 +334,10 @@ def decode_query(
             f"QUERY declares {count} queries; the per-frame cap is "
             f"{MAX_QUERIES_PER_FRAME}"
         )
-    trace: Optional[Tuple[int, int]] = None
-    body_at = _QUERY_PREFIX.size
-    if version >= 2:
-        if len(payload) < _QUERY_PREFIX.size + _QUERY_TRACE.size:
-            raise ProtocolError("truncated QUERY payload: missing trace header")
-        trace = _QUERY_TRACE.unpack_from(payload, _QUERY_PREFIX.size)
-        body_at += _QUERY_TRACE.size
+    body_at = _QUERY_PREFIX.size + _QUERY_TRACE.size
+    if len(payload) < body_at:
+        raise ProtocolError("truncated QUERY payload: missing trace header")
+    trace = _QUERY_TRACE.unpack_from(payload, _QUERY_PREFIX.size)
     expected = body_at + count * _QUERY_ITEM.size
     if len(payload) != expected:
         raise ProtocolError(
@@ -384,18 +351,13 @@ def decode_query(
     return request_id, queries, trace
 
 
-def encode_answer(
-    request_id: int,
-    answers: Iterable[float],
-    *,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
+def encode_answer(request_id: int, answers: Iterable[float]) -> bytes:
     """ANSWER frame: the distances of one request, in query order."""
     answers = list(answers)
     payload = _ANSWER_PREFIX.pack(request_id, len(answers)) + struct.pack(
         f"!{len(answers)}d", *answers
     )
-    return encode_frame(MSG_ANSWER, payload, version=version)
+    return encode_frame(MSG_ANSWER, payload)
 
 
 def decode_answer(payload: bytes) -> Tuple[int, List[float]]:
@@ -414,13 +376,7 @@ def decode_answer(payload: bytes) -> Tuple[int, List[float]]:
     return request_id, answers
 
 
-def encode_error(
-    request_id: int,
-    code: int,
-    message: str,
-    *,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
+def encode_error(request_id: int, code: int, message: str) -> bytes:
     """ERROR frame: a typed refusal (:data:`CONNECTION_SCOPE` request id
     for failures not tied to one request)."""
     if code not in ERROR_NAMES:
@@ -428,7 +384,6 @@ def encode_error(
     return encode_frame(
         MSG_ERROR,
         _ERROR_PREFIX.pack(request_id, code) + message.encode("utf-8"),
-        version=version,
     )
 
 
@@ -457,14 +412,11 @@ def _sanitize(value):
     return value
 
 
-def encode_health_report(
-    report: dict, *, version: int = PROTOCOL_VERSION
-) -> bytes:
+def encode_health_report(report: dict) -> bytes:
     """HEALTH response frame: the structured report as strict JSON."""
     return encode_frame(
         MSG_HEALTH,
         json.dumps(_sanitize(report), sort_keys=True).encode("utf-8"),
-        version=version,
     )
 
 
@@ -485,13 +437,11 @@ def decode_health_report(payload: bytes) -> dict:
 _STATS_FORMATS = (STATS_JSON, STATS_PROMETHEUS)
 
 
-def encode_stats_request(
-    fmt: int = STATS_JSON, *, version: int = PROTOCOL_VERSION
-) -> bytes:
+def encode_stats_request(fmt: int = STATS_JSON) -> bytes:
     """STATS request frame: one format byte."""
     if fmt not in _STATS_FORMATS:
         raise ProtocolError(f"unknown STATS format {fmt}")
-    return encode_frame(MSG_STATS, bytes([fmt]), version=version)
+    return encode_frame(MSG_STATS, bytes([fmt]))
 
 
 def decode_stats_request(payload: bytes) -> int:
@@ -509,12 +459,7 @@ def decode_stats_request(payload: bytes) -> int:
     return fmt
 
 
-def encode_stats(
-    fmt: int,
-    report: Union[dict, str],
-    *,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
+def encode_stats(fmt: int, report: Union[dict, str]) -> bytes:
     """STATS response frame: format byte + body (sanitized JSON report
     or the Prometheus text exposition)."""
     if fmt == STATS_JSON:
@@ -532,7 +477,7 @@ def encode_stats(
         body = report.encode("utf-8")
     else:
         raise ProtocolError(f"unknown STATS format {fmt}")
-    return encode_frame(MSG_STATS, bytes([fmt]) + body, version=version)
+    return encode_frame(MSG_STATS, bytes([fmt]) + body)
 
 
 def decode_stats(payload: bytes) -> Tuple[int, Union[dict, str]]:

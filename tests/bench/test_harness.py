@@ -177,25 +177,3 @@ class TestExtensionEngines:
                     assert engines["WC-W"](s, t, w) == engines[
                         "WC-FROZEN-W"
                     ](s, t, w)
-
-
-class TestServingLineup:
-    def test_lineup_and_agreement(self, tmp_path):
-        from repro.bench.harness import (
-            SERVING_QUERY_METHODS,
-            ServingLineup,
-        )
-        from repro.core import build_wc_index_plus, save_frozen
-
-        g = gnm_random_graph(15, 35, num_qualities=3, seed=4)
-        index = build_wc_index_plus(g, "degree")
-        path = tmp_path / "g.wcxb"
-        save_frozen(index, path)
-        workload = list(random_queries(g, 60, seed=2))
-        expected = index.distance_many(workload)
-        with ServingLineup(path, workers=2) as lineup:
-            assert set(lineup.batch_engines) == set(SERVING_QUERY_METHODS)
-            for name, batch in lineup.batch_engines.items():
-                assert batch(workload) == expected, name
-        # Closed: the pool is down and the mmap attach released.
-        assert lineup.server.closed

@@ -52,80 +52,3 @@ class TestFlatten:
     def test_bad_type(self):
         with pytest.raises(TypeError):
             flatten(42)
-
-
-class TestTrajectoryMerge:
-    def row(self, dataset, family, speedup=2.0):
-        return {"dataset": dataset, "family": family, "speedup": speedup}
-
-    def test_fresh_file(self, tmp_path):
-        from repro.bench.reporting import merge_query_engine_rows
-
-        path = tmp_path / "BENCH.json"
-        payload = merge_query_engine_rows(
-            path, {"undirected": 2.0}, [self.row("FLA", "undirected")]
-        )
-        assert path.exists()
-        assert payload["benchmark"] == "query_engines"
-        assert payload["gates"] == {"undirected": 2.0}
-        assert [r["dataset"] for r in payload["results"]] == ["FLA"]
-
-    def test_families_merge_without_clobbering(self, tmp_path):
-        from repro.bench.reporting import merge_query_engine_rows
-
-        path = tmp_path / "BENCH.json"
-        merge_query_engine_rows(
-            path, {"undirected": 2.0}, [self.row("FLA", "undirected")]
-        )
-        merge_query_engine_rows(
-            path,
-            {"directed": 2.0, "weighted": 2.0},
-            [self.row("NY", "directed"), self.row("NY", "weighted")],
-        )
-        # Refreshing one family preserves the others' rows and gates.
-        payload = merge_query_engine_rows(
-            path, {"undirected": 1.5}, [self.row("EU", "undirected", 3.0)]
-        )
-        assert payload["gates"] == {
-            "undirected": 1.5,
-            "directed": 2.0,
-            "weighted": 2.0,
-        }
-        families = [(r["dataset"], r["family"]) for r in payload["results"]]
-        assert families == [
-            ("EU", "undirected"),
-            ("NY", "directed"),
-            ("NY", "weighted"),
-        ]
-
-    def test_legacy_single_gate_layout_upgraded(self, tmp_path):
-        import json
-
-        from repro.bench.reporting import merge_query_engine_rows
-
-        path = tmp_path / "BENCH.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "benchmark": "frozen_vs_list",
-                    "gate": 2.0,
-                    "results": [{"dataset": "FLA", "speedup": 2.4}],
-                }
-            )
-        )
-        payload = merge_query_engine_rows(
-            path, {"directed": 2.0}, [self.row("NY", "directed")]
-        )
-        assert payload["gates"] == {"undirected": 2.0, "directed": 2.0}
-        assert payload["results"][0]["family"] == "undirected"
-        assert payload["results"][1]["family"] == "directed"
-
-    def test_corrupt_file_is_replaced(self, tmp_path):
-        from repro.bench.reporting import merge_query_engine_rows
-
-        path = tmp_path / "BENCH.json"
-        path.write_text("not json{")
-        payload = merge_query_engine_rows(
-            path, {"undirected": 2.0}, [self.row("FLA", "undirected")]
-        )
-        assert len(payload["results"]) == 1

@@ -49,7 +49,7 @@ def mutate(live):
 
 class TestIncrementalRefreeze:
     @pytest.mark.parametrize("family", ["undirected", "directed", "weighted"])
-    def test_bit_identical_to_full_freeze(self, family):
+    def test_bit_identical_to_full_freeze(self, family, tmp_path):
         graph = gnm_random_graph(12, 22, num_qualities=3, seed=9)
         if family == "undirected":
             live = LiveWCIndex(graph.copy())
@@ -61,12 +61,25 @@ class TestIncrementalRefreeze:
                 wgraph.add_edge(u, v, float((u + v) % 3 + 1), q)
             live = LiveWeightedWCIndex(wgraph)
         old = live.freeze()
+        patched = tmp_path / "patched.wcxb"
+        delta = tmp_path / "delta.wcxb"
+        save_frozen(old, patched)
+        save_frozen(old, delta)
         mutate(live)
         edge = next(iter(live.graph.edges()))
         live.delete_edge(edge[0], edge[1])
         dirty = live.journal.dirty_vertices()
-        engine = incremental_refreeze(old, live.index, dirty)
-        assert image_bytes(engine) == image_bytes(live.freeze())
+        result = refreeze(old, live.index, dirty)
+        assert result.incremental
+        engine = result.engine
+        canonical = image_bytes(live.freeze())
+        assert image_bytes(engine) == canonical
+        # Both on-disk update paths reach the same bytes for every family.
+        make_patch(patched, engine).apply(patched)
+        assert patched.read_bytes() == canonical
+        append_delta(engine, delta, sorted(dirty))
+        assert image_bytes(load_frozen(delta)) == canonical
+        assert image_bytes(attach_frozen(delta.read_bytes())) == canonical
 
     def test_empty_dirty_reproduces_the_image(self):
         live = make_live_undirected()

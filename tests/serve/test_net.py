@@ -28,6 +28,7 @@ from repro.serve import protocol
 from repro.serve.client import PoolClient
 from repro.serve.errors import ServeError
 from repro.serve.net import NetServer
+from repro.serve.stats import percentile
 from repro.workloads.queries import random_queries
 
 INF = float("inf")
@@ -231,13 +232,20 @@ class TestHealth:
         assert report["backend"]["transport"] == "in-process"
 
     def test_latency_percentiles_populate(self, frozen, workload):
+        client_ms = []
         with NetServerThread(InProcessClient(frozen)) as front:
             with NetClient(*front.address) as client:
-                client.distance_many(workload[:50])
+                for _ in range(20):
+                    started = time.perf_counter()
+                    client.distance_many(workload[:50])
+                    client_ms.append((time.perf_counter() - started) * 1e3)
                 latency = client.health()["latency"]
-        assert latency["count"] >= 1
+        assert latency["count"] == len(client_ms)
         for key in ("p50_ms", "p95_ms", "p99_ms"):
             assert float(latency[key]) >= 0.0
+        # Each server-side latency lies inside its request's client-side
+        # one, so the same nearest-rank percentile cannot come out higher.
+        assert latency["p99_ms"] <= percentile(sorted(client_ms), 99.0)
 
     def test_pool_backend_health_travels_over_the_wire(self, frozen):
         with QueryServer(frozen, workers=1) as pool:
@@ -274,13 +282,31 @@ class TestProtocolViolations:
 
     def test_version_mismatch_answered_with_typed_error(self, front):
         with self._raw(front) as sock:
-            sock.sendall(protocol.encode_frame(protocol.MSG_HELLO, b"{}", version=9))
+            sock.sendall(
+                struct.pack("!HBBI", protocol.MAGIC, 9, protocol.MSG_HELLO, 2)
+                + b"{}"
+            )
             frames = self._frames(sock)
         assert frames and frames[0].msg_type == protocol.MSG_ERROR
         request_id, code, message = protocol.decode_error(frames[0].payload)
         assert request_id == protocol.CONNECTION_SCOPE
         assert code == protocol.ERR_VERSION
         assert "version 9" in message
+
+    def test_v1_query_answered_with_version_mismatch(self, front):
+        # A v1 QUERY: version-1 header, no trace header in the payload.
+        payload = struct.pack("!II", 5, 1) + struct.pack("!qqd", 0, 1, 2.0)
+        header = struct.pack(
+            "!HBBI", protocol.MAGIC, 1, protocol.MSG_QUERY, len(payload)
+        )
+        with self._raw(front) as sock:
+            sock.sendall(header + payload)
+            frames = self._frames(sock)
+        assert frames and frames[0].msg_type == protocol.MSG_ERROR
+        request_id, code, message = protocol.decode_error(frames[0].payload)
+        assert request_id == protocol.CONNECTION_SCOPE
+        assert code == protocol.ERR_VERSION
+        assert "version 1" in message
 
     def test_garbage_bytes_answered_with_typed_error(self, front):
         with self._raw(front) as sock:

@@ -22,7 +22,6 @@ from repro.serve.protocol import (
     MSG_STATS,
     STATS_JSON,
     STATS_PROMETHEUS,
-    SUPPORTED_VERSIONS,
     Frame,
     FrameDecoder,
     FrameTooLargeError,
@@ -81,19 +80,6 @@ class TestRoundTrips:
         assert request_id == 4
         assert decoded == [(1, 2, 3.0)]
         assert trace == (0xDEADBEEFCAFE, FLAG_SAMPLE)
-
-    def test_v1_query_has_no_trace(self):
-        queries = [(0, 1, 2.0)]
-        frame = one_frame(encode_query(7, queries, version=1))
-        assert frame.version == 1
-        request_id, decoded, trace = decode_query(
-            frame.payload, version=frame.version
-        )
-        assert (request_id, decoded, trace) == (7, queries, None)
-
-    def test_v1_query_refuses_trace_header(self):
-        with pytest.raises(ProtocolError, match="version 1"):
-            encode_query(7, [], trace_id=1, version=1)
 
     def test_answer_roundtrips_inf_exactly(self):
         answers = [0.0, 3.0, INF, 1e308, 0.1]
@@ -206,7 +192,7 @@ class TestFrameDecoder:
             FrameDecoder().feed(_HEADER.pack(0xDEAD, 1, MSG_HELLO, 0))
 
     def test_version_mismatch_carries_peer_version(self):
-        frame = encode_frame(MSG_HELLO, b"{}", version=9)
+        frame = _HEADER.pack(MAGIC, 9, MSG_HELLO, 2) + b"{}"
         with pytest.raises(VersionMismatchError) as excinfo:
             FrameDecoder().feed(frame)
         assert excinfo.value.peer_version == 9
@@ -256,11 +242,6 @@ class TestMalformedPayloads:
         )
         with pytest.raises(ProtocolError, match="must carry"):
             decode_query(payload)
-
-    def test_v1_query_count_payload_mismatch(self):
-        payload = struct.pack("!II", 0, 2) + struct.pack("!qqd", 0, 1, 2.0)
-        with pytest.raises(ProtocolError, match="must carry"):
-            decode_query(payload, version=1)
 
     def test_query_missing_prefix(self):
         with pytest.raises(ProtocolError, match="truncated"):
@@ -328,8 +309,11 @@ class TestMalformedPayloads:
 
 class TestStatsFrames:
     def test_supported_versions_cover_both_generations(self):
-        assert SUPPORTED_VERSIONS == (1, 2)
+        # v2 is the only version spoken; a v1 header is refused.
         assert protocol.PROTOCOL_VERSION == 2
+        assert one_frame(encode_stats_request()).msg_type == MSG_STATS
+        with pytest.raises(VersionMismatchError):
+            FrameDecoder().feed(_HEADER.pack(MAGIC, 1, MSG_STATS, 0))
 
     def test_stats_request_roundtrip(self):
         for fmt in (STATS_JSON, STATS_PROMETHEUS):

@@ -1,6 +1,5 @@
 """End-to-end telemetry: traces over TCP, STATS scrapes, v1 compat."""
 
-import socket
 import time
 
 import pytest
@@ -184,40 +183,3 @@ class TestStatsScrapes:
         assert "repro top" in text
         assert "latency ms" in text
         assert "tracing on" in text
-
-
-class TestV1Compat:
-    def _recv_frames(self, sock, n=1, timeout=5.0):
-        decoder = protocol.FrameDecoder()
-        frames = []
-        sock.settimeout(timeout)
-        while len(frames) < n:
-            data = sock.recv(65536)
-            if not data:
-                break
-            frames.extend(decoder.feed(data))
-        return frames
-
-    def test_v1_client_round_trips_with_v1_stamped_replies(
-        self, frozen, workload
-    ):
-        with NetServerThread(InProcessClient(frozen)) as front:
-            with socket.create_connection(front.address, timeout=5.0) as sock:
-                sock.sendall(protocol.encode_query(5, workload, version=1))
-                frames = self._recv_frames(sock, 1)
-        assert frames[0].msg_type == protocol.MSG_ANSWER
-        # The reply header must be stamped v1: a v1-only peer would
-        # otherwise refuse its own answer.
-        assert frames[0].version == 1
-        request_id, answers = protocol.decode_answer(frames[0].payload)
-        assert request_id == 5
-        assert answers == frozen.distance_many(workload)
-
-    def test_hello_advertises_both_versions(self, frozen):
-        with NetServerThread(InProcessClient(frozen)) as front:
-            with socket.create_connection(front.address, timeout=5.0) as sock:
-                sock.sendall(protocol.encode_hello({"peer": "test"}))
-                hello = self._recv_frames(sock, 1)
-        assert hello[0].msg_type == protocol.MSG_HELLO
-        info = protocol.decode_hello(hello[0].payload)
-        assert info["protocol_versions"] == list(protocol.SUPPORTED_VERSIONS)
