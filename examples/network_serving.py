@@ -84,8 +84,8 @@ def main() -> None:
         )
         print(report.format())
 
-        # The rolling-window server view: percentiles, queue depth and
-        # the batch-size histogram showing the coalescing at work.
+        # The server's own view: percentiles since start, queue depth
+        # and the batch-size histogram showing the coalescing at work.
         health = front.health_report()
         print(
             f"server health: state={health['state']} "

@@ -13,9 +13,10 @@ Two classic traffic shapes drive the serving stack:
   bound.  Outstanding requests are capped client-side
   (``max_outstanding``) so the generator itself cannot balloon.
 
-Both return a :class:`LoadReport` with throughput and nearest-rank
-latency percentiles (shared with the server's own
-:mod:`repro.serve.stats` so CLI and HEALTH numbers agree on method),
+Both return a :class:`LoadReport` with throughput and exact
+nearest-rank latency percentiles (:func:`repro.serve.stats.percentile`;
+the server's own HEALTH percentiles are bucket estimates, reported
+with the bucket bounds that contain the exact value),
 and an exact disposition count: every request sent is ``ok``,
 ``overloaded`` (shed by admission control), or ``failed`` — plus
 ``dropped`` for arrivals the open-loop generator never sent because

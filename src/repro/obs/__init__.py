@@ -2,9 +2,10 @@
 
 One substrate, four pieces:
 
-* :mod:`repro.obs.metrics` — the process-wide registry of thread-safe
-  Counter / Gauge / Histogram metrics every layer's ad-hoc counters
-  migrated onto, with Prometheus-text and flat-JSON exposition.
+* :mod:`repro.obs.metrics` — the per-server registry of thread-safe
+  Counter / Gauge / Histogram metrics every layer reports through,
+  with Prometheus-text and flat-JSON exposition and the bucket
+  quantile estimate.
 * :mod:`repro.obs.trace` — per-query span trees (queue-wait,
   batch-coalesce, kernel, cache-lookup, serialize) on the monotonic
   clock, a bounded trace ring, and the slow-query log.
@@ -24,8 +25,7 @@ from .metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    REGISTRY,
-    get_registry,
+    histogram_quantile,
 )
 from .telemetry import DEFAULT_SAMPLE_EVERY, DEFAULT_SLOW_MS, FLAG_SAMPLE, Telemetry
 from .trace import (
@@ -51,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "REGISTRY",
     "REQUIRED_METRICS",
     "SPAN_NAMES",
     "SlowQueryLog",
@@ -65,7 +64,7 @@ __all__ = [
     "bind_pool",
     "bind_publisher",
     "format_trace",
-    "get_registry",
+    "histogram_quantile",
     "new_trace_id",
     "render_dashboard",
 ]

@@ -17,6 +17,7 @@ Exposed families (see the README metric table):
   invalidated_entries}_total``,
   ``repro_cache_{entries,capacity,generation,suspended}``
 * ``repro_pool_workers{state="alive"|"total"}``,
+  ``repro_pool_chunk_size`` (the pool's own histogram),
   ``repro_pool_restarts_total`` (+ per-slot via ``slot`` label),
   ``repro_pool_degraded``
 * ``repro_publisher_epoch``, ``repro_publisher_publishes_total``,
@@ -81,11 +82,12 @@ def bind_cache(registry: MetricsRegistry, cache) -> None:
 
 
 def bind_pool(registry: MetricsRegistry, server) -> None:
-    """Expose a :class:`~repro.serve.server.QueryServer`'s worker table
-    and (when supervised) its supervisor's restart counters."""
+    """Expose a :class:`~repro.serve.server.QueryServer`'s worker table,
+    its chunk-size histogram and (when supervised) its supervisor's
+    restart counters."""
 
     def collect() -> List[MetricFamily]:
-        families = []
+        families = [server.chunk_sizes.collect()]
         workers = MetricFamily(
             "repro_pool_workers", "gauge", "Pool worker counts", []
         )

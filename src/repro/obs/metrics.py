@@ -1,9 +1,10 @@
-"""The process-wide metrics registry: Counter / Gauge / Histogram.
+"""The metrics registry: Counter / Gauge / Histogram.
 
-Every layer of the serving stack used to keep its own ad-hoc counters
-(`serve/stats.py` admission counts, the answer cache's hit/miss totals,
-the supervisor's restart tallies, the publisher's epoch).  This module
-is the one substrate they all surface through:
+This module is the one substrate every layer of the serving stack
+reports through: the front door's admission counters, latency and
+batch-size histograms, the pool's chunk sizes, the answer cache's
+hit/miss totals, the supervisor's restart tallies, the publisher's
+epoch.
 
 * :class:`Counter` — a monotonically increasing total (``_total`` names
   by convention).  ``inc()`` only; going down is a bug and raises.
@@ -12,7 +13,8 @@ is the one substrate they all surface through:
 * :class:`Histogram` — fixed cumulative buckets plus ``_sum`` and
   ``_count`` samples, the Prometheus shape; use
   :data:`DEFAULT_LATENCY_BUCKETS` for latencies and
-  :data:`BATCH_SIZE_BUCKETS` for batch sizes.
+  :data:`BATCH_SIZE_BUCKETS` for batch sizes.  :func:`histogram_quantile`
+  estimates a quantile from its cumulative buckets, as Prometheus does.
 
 All three support labels (``labelnames`` at registration,
 ``.labels(...)`` for a child) and are thread-safe (one lock per
@@ -33,10 +35,8 @@ per-shard tallies under per-shard locks; the pool's restart counts live
 in the supervisor) join the registry through *collectors* — callables
 returning :class:`MetricFamily` rows at scrape time
 (:meth:`register_collector`; see :mod:`repro.obs.export` for the
-stock bridges) — so hot paths pay nothing for exposition.
-
-:data:`REGISTRY` is the module-level default for process-scoped use;
-the serving stack wires explicit instances so two servers in one
+stock bridges) — so hot paths pay nothing for exposition.  The
+serving stack wires one registry per server, so two servers in one
 process never share counters.
 """
 
@@ -53,8 +53,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "REGISTRY",
-    "get_registry",
+    "histogram_quantile",
 ]
 
 #: Latency buckets in seconds: 50us (the paper's microsecond-scale
@@ -68,6 +67,35 @@ DEFAULT_LATENCY_BUCKETS = (
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536)
 
 _INF = float("inf")
+
+
+def histogram_quantile(
+    q: float, buckets: Sequence[Tuple[float, float]]
+) -> Tuple[float, Optional[Tuple[float, float]]]:
+    """Estimate the ``q``-quantile (``0 <= q <= 1``) from ascending
+    ``(upper_bound, cumulative_count)`` buckets ending at ``+inf``, as
+    Prometheus ``histogram_quantile`` does: linear inside the bucket
+    holding rank ``q * count`` (the first starts at 0; the ``+inf`` one
+    estimates as the highest finite bound).  Returns the estimate and
+    that bucket's ``(lo, hi)``, which hold the exact nearest-rank
+    quantile; ``(nan, None)`` when the histogram is empty."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    total = buckets[-1][1] if buckets else 0
+    if total <= 0:
+        return float("nan"), None
+    rank = q * total
+    lo, below = 0.0, 0
+    for hi, cumulative in buckets:
+        # The first non-empty bucket reaching the rank (q == 0 asks for
+        # the smallest sample, which sits in the first non-empty one).
+        if cumulative >= rank and cumulative > below:
+            break
+        lo, below = hi, cumulative
+    if hi == _INF:
+        return lo, (lo, hi)
+    estimate = lo + (hi - lo) * (rank - below) / (cumulative - below)
+    return estimate, (lo, hi)
 
 
 def _escape_label(value: str) -> str:
@@ -306,49 +334,41 @@ class Gauge(_Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("_lock", "_bounds", "_counts", "_sum", "_count")
+    __slots__ = ("_lock", "_bounds", "_counts", "_sum")
 
     def __init__(self, bounds: Tuple[float, ...]) -> None:
         self._lock = threading.Lock()
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # + the +Inf bucket
+        self._bounds = bounds + (_INF,)
+        self._counts = [0] * len(self._bounds)
         self._sum = 0.0
-        self._count = 0
 
     def observe(self, value: float) -> None:
-        at = len(self._bounds)
-        for i, bound in enumerate(self._bounds):
+        for at, bound in enumerate(self._bounds):
             if value <= bound:
-                at = i
                 break
         with self._lock:
             self._counts[at] += 1
             self._sum += value
-            self._count += 1
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    def _emit(self, family: MetricFamily, labels: Dict[str, object]) -> None:
+    def cumulative(self) -> Tuple[List[Tuple[float, int]], float, int]:
+        """``(upper_bound, cumulative_count)`` per bucket, the last
+        bound ``+inf``, plus the sum and count — one consistent read."""
         with self._lock:
             counts = list(self._counts)
-            total, sum_ = self._count, self._sum
-        cumulative = 0
+            sum_ = self._sum
+        buckets: List[Tuple[float, int]] = []
+        running = 0
         for bound, count in zip(self._bounds, counts):
-            cumulative += count
+            running += count
+            buckets.append((bound, running))
+        return buckets, sum_, running
+
+    def _emit(self, family: MetricFamily, labels: Dict[str, object]) -> None:
+        buckets, sum_, total = self.cumulative()
+        for bound, cumulative in buckets:
             bucket_labels = dict(labels)
-            bucket_labels["le"] = _format_value(float(bound))
+            bucket_labels["le"] = _format_value(bound)
             family.add_sample("_bucket", bucket_labels, cumulative)
-        bucket_labels = dict(labels)
-        bucket_labels["le"] = "+Inf"
-        family.add_sample("_bucket", bucket_labels, total)
         family.add_sample("_sum", dict(labels), sum_)
         family.add_sample("_count", dict(labels), total)
 
@@ -379,13 +399,8 @@ class Histogram(_Metric):
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
 
-    @property
-    def count(self) -> int:
-        return self._default_child().count
-
-    @property
-    def sum(self) -> float:
-        return self._default_child().sum
+    def cumulative(self) -> Tuple[List[Tuple[float, int]], float, int]:
+        return self._default_child().cumulative()
 
 
 class MetricsRegistry:
@@ -490,10 +505,3 @@ class MetricsRegistry:
                 flat[_sample_name(family.name + suffix, labels)] = value
         return flat
 
-
-#: The module-level default registry for process-scoped use.
-REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY

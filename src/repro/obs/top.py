@@ -2,9 +2,11 @@
 
 ``repro top host:port`` polls the server's ``STATS`` frame and redraws
 a compact terminal dashboard — qps (derived from answered-counter
-deltas between consecutive scrapes), latency percentiles from the
-server's sliding window, cache hit rate, worker liveness, the published
-epoch, and the most recent slow queries.  This module is the pure
+deltas between consecutive scrapes), latency percentiles over the last
+refresh (estimated from the difference between the two scrapes'
+``repro_request_latency_seconds`` buckets; since server start on the
+first scrape), cache hit rate, worker liveness, the published epoch,
+and the most recent slow queries.  This module is the pure
 rendering half (testable without a socket); the CLI in
 :mod:`repro.__main__` owns the connection and the refresh loop.
 """
@@ -13,9 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from .metrics import histogram_quantile
+
 __all__ = ["render_dashboard", "REQUIRED_METRICS"]
 
-#: Metric names every serving scrape must expose (the CI smoke job
+#: Metric names a pooled serving scrape must expose (the CI smoke job
 #: asserts exactly these; keep in sync with the README table).
 REQUIRED_METRICS = (
     "repro_queries_admitted_total",
@@ -26,6 +30,7 @@ REQUIRED_METRICS = (
     "repro_connections",
     "repro_request_latency_seconds_count",
     "repro_batch_size_count",
+    "repro_pool_chunk_size_count",
     "repro_traces_sampled_total",
     "repro_slow_queries_total",
 )
@@ -62,6 +67,28 @@ def _rate(now: Dict[str, float], prev: Optional[Dict[str, float]],
     return max(0.0, (now[name] - prev[name]) / elapsed_s)
 
 
+_LATENCY_BUCKET = 'repro_request_latency_seconds_bucket{le="'
+
+
+def _refresh_latency(
+    metrics: Dict[str, float], prev: Dict[str, float]
+) -> Optional[Dict[str, float]]:
+    """Count and p50/p95/p99 (ms) of the requests answered between two
+    scrapes, from the difference of their latency buckets; ``None``
+    when the scrapes carry no buckets."""
+    buckets = sorted(
+        (float(name[len(_LATENCY_BUCKET) : -2]), value - prev.get(name, 0))
+        for name, value in metrics.items()
+        if name.startswith(_LATENCY_BUCKET)
+    )
+    if not buckets:
+        return None
+    latency = {"count": buckets[-1][1]}
+    for p in (50, 95, 99):
+        latency[f"p{p}_ms"] = histogram_quantile(p / 100.0, buckets)[0] * 1000.0
+    return latency
+
+
 def render_dashboard(
     report: Dict[str, Any],
     prev_report: Optional[Dict[str, Any]] = None,
@@ -73,7 +100,11 @@ def render_dashboard(
     prev_metrics = (prev_report or {}).get("metrics") if prev_report else None
     stats = report.get("stats", {})
     queries = stats.get("queries", {})
-    latency = stats.get("latency", {})
+    latency = _refresh_latency(metrics, prev_metrics) if prev_metrics else None
+    if latency is not None:
+        span = f"last {elapsed_s:.1f} s"
+    else:
+        latency, span = stats.get("latency", {}), "since start"
     telemetry = report.get("telemetry", {})
     server = report.get("server", {})
 
@@ -100,10 +131,11 @@ def render_dashboard(
     )
     lines.append(
         "  latency ms  p50 {p50:>8}  p95 {p95:>8}  p99 {p99:>8}  "
-        "(window n={n})".format(
+        "({span}, n={n})".format(
             p50=_fmt_ms(latency.get("p50_ms")),
             p95=_fmt_ms(latency.get("p95_ms")),
             p99=_fmt_ms(latency.get("p99_ms")),
+            span=span,
             n=int(latency.get("count", 0)),
         )
     )

@@ -42,12 +42,12 @@ Network serving sits on top of the pool (or any engine):
 * :class:`NetServer` (:mod:`repro.serve.net`) — the asyncio TCP front
   door: micro-batches concurrent requests into ``distance_many``
   calls, sheds load with typed :class:`ServerOverloadedError` frames
-  when the in-flight budget fills, and serves rolling latency
-  percentiles over the ``HEALTH`` frame
-  (:class:`~repro.serve.stats.ServerStats`).  Telemetry — the
-  process-wide metrics registry, per-query trace sampling and the
-  slow-query log — lives in :mod:`repro.obs` and is wired through
-  every tier here (``STATS`` frame, ``repro top``).
+  when the in-flight budget fills, and serves latency percentiles
+  estimated from its registry histogram over the ``HEALTH`` frame
+  (:class:`~repro.serve.stats.ServerStats`).  Telemetry — the metrics
+  registry, per-query trace sampling and the slow-query log — lives in
+  :mod:`repro.obs` and is wired through every tier here (``STATS``
+  frame, ``repro top``).
 * :class:`QueryClient` (:mod:`repro.serve.client`) — one client API
   over every tier: :class:`InProcessClient` (an engine),
   :class:`PoolClient` (the shm pool), :class:`NetClient` (TCP).

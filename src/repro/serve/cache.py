@@ -22,12 +22,13 @@ directions of an undirected pair.
 reads only ``L(s)`` and ``L(t)``, and the
 :class:`~repro.live.journal.UpdateJournal` dirty set is exactly the
 vertices whose label lists changed (the live wrappers diff or repair
-exactly).  Each cache entry records its dependency set — the endpoints
-plus the hub vertices their labels reach — and a republish evicts only
-entries whose dependency set intersects the dirty set.  A 1% dirty
-batch therefore keeps ~99% of the cache warm; only a non-incremental
-rebuild (vertex order changed, every hub rank reinterpreted) flushes
-everything.
+exactly).  An entry depends on its endpoints plus the hub vertices
+their labels reach, and a republish evicts only entries whose
+endpoints' reach meets the dirty set.  Reach sets are memoized per
+vertex, not stored per entry, so an entry costs its key and answer.
+A 1% dirty batch therefore keeps ~99% of the cache warm; only a
+non-incremental rebuild (vertex order changed, every hub rank
+reinterpreted) flushes everything.
 
 Fills race republishes in the network front door (the batcher computes
 answers on an executor thread), so every fill carries the *generation
@@ -83,7 +84,7 @@ Key = Tuple[int, int, float]
 
 
 class _Keyer:
-    """Canonical keys and dependency sets derived from one engine
+    """Canonical keys and hub-reach sets derived from one engine
     snapshot (any family, list or frozen)."""
 
     __slots__ = ("_engine", "_directed", "_n", "_levels", "_reach")
@@ -95,7 +96,7 @@ class _Keyer:
         self._directed = not engine.family.symmetric
         self._n = engine.num_vertices
         self._levels = self._label_levels(engine)
-        # Hub-reach sets, memoized per endpoint on first fill.  Directed
+        # Hub-reach sets, memoized per endpoint on first use.  Directed
         # sources and targets read different sides, so they memoize
         # under distinct slots (v for the out/source side, v + n for
         # the in/target side).
@@ -106,10 +107,15 @@ class _Keyer:
 
         Derived from the engine (not the graph — serving tiers may hold
         only the image): quantization is exact as long as the level set
-        covers every quality a label of *this* engine carries.
+        covers every quality a label of *this* engine carries.  A frozen
+        engine's label sides hold every quality in one flat column; a
+        list engine is walked entry by entry.
         """
         levels = set()
-        if self._directed:
+        if hasattr(engine, "sides"):
+            for side in engine.sides():
+                levels.update(side.quals)
+        elif self._directed:
             for v in range(self._n):
                 levels.update(q for _, _, q in engine.in_entries_of(v))
                 levels.update(q for _, _, q in engine.out_entries_of(v))
@@ -139,14 +145,25 @@ class _Keyer:
             s, t = t, s
         return (s, t, bucket)
 
-    def deps(self, key: Key) -> FrozenSet[int]:
-        """The entry's dependency set: both endpoints plus every hub
-        vertex their labels reach (out-side for sources, in-side for
-        targets in the directed family)."""
-        s, t = key[0], key[1]
-        if self._directed:
-            return self._side_reach(s, False) | self._side_reach(t, True)
-        return self._side_reach(s, False) | self._side_reach(t, False)
+    def inherit_reach(self, old: "_Keyer", dirty: FrozenSet[int]) -> None:
+        """Adopt ``old``'s memoized hub reach of every vertex outside
+        ``dirty``: an incremental republish leaves their labels, and so
+        their reach, unchanged."""
+        if old._n == self._n:
+            self._reach = {
+                slot: reach
+                for slot, reach in old._reach.items()
+                if slot % self._n not in dirty
+            }
+
+    def stale(self, key: Key, dirty: FrozenSet[int]) -> bool:
+        """Whether ``dirty`` meets the entry's dependencies: both
+        endpoints plus every hub vertex their labels reach (out-side for
+        sources, in-side for targets in the directed family)."""
+        return not (
+            self._side_reach(key[0], False).isdisjoint(dirty)
+            and self._side_reach(key[1], self._directed).isdisjoint(dirty)
+        )
 
     def _side_reach(self, v: int, in_side: bool) -> FrozenSet[int]:
         slot = v + self._n if in_side else v
@@ -172,11 +189,9 @@ class _Shard:
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.Lock()
-        # key -> (answer, dependency frozenset); insertion order is
-        # recency order (move_to_end on hit).
-        self.entries: "OrderedDict[Key, Tuple[float, FrozenSet[int]]]" = (
-            OrderedDict()
-        )
+        # key -> answer; insertion order is recency order (move_to_end
+        # on hit).
+        self.entries: "OrderedDict[Key, float]" = OrderedDict()
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -184,31 +199,30 @@ class _Shard:
 
     def get(self, key: Key, count: bool):
         with self.lock:
-            entry = self.entries.get(key)
-            if entry is None:
+            value = self.entries.get(key, MISS)
+            if value is MISS:
                 if count:
                     self.misses += 1
                 return MISS
             self.entries.move_to_end(key)
             if count:
                 self.hits += 1
-            return entry[0]
+            return value
 
-    def put(self, key: Key, value: float, deps: FrozenSet[int]) -> None:
+    def put(self, key: Key, value: float) -> None:
         with self.lock:
             if key in self.entries:
                 self.entries.move_to_end(key)
-            self.entries[key] = (value, deps)
+            self.entries[key] = value
             while len(self.entries) > self.capacity:
                 self.entries.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate(self, dirty: FrozenSet[int]) -> int:
+    def invalidate(self, keyer: Optional[_Keyer], dirty: FrozenSet[int]) -> int:
+        # A suspended cache (no keyer) drops whatever fill raced it.
         with self.lock:
             stale = [
-                key
-                for key, (_, deps) in self.entries.items()
-                if deps & dirty
+                key for key in self.entries if keyer is None or keyer.stale(key, dirty)
             ]
             for key in stale:
                 del self.entries[key]
@@ -225,8 +239,9 @@ class AnswerCache:
     """A sharded, thread-safe LRU answer cache bound to one engine.
 
     ``engine`` is any index engine of any family (list or frozen) — it
-    supplies the canonical-key quantization levels and the per-entry
-    dependency sets; the live reference is only read, never queried.
+    supplies the canonical-key quantization levels and the hub-reach
+    sets invalidation tests; the live reference is only read, never
+    queried.
     ``entries`` is the total capacity, split evenly across ``shards``
     independently-locked LRU shards.
 
@@ -285,15 +300,9 @@ class AnswerCache:
     def put(self, key: Key, value: float, token: int) -> bool:
         """Store a fill computed under ``token``; a stale token (any
         invalidation since) drops the fill and returns ``False``."""
-        keyer = self._keyer
-        if keyer is None or token != self._generation:
+        if self._keyer is None or token != self._generation:
             return False
-        deps = keyer.deps(key)
-        if token != self._generation:
-            # The invalidation may have landed while deps were being
-            # computed from the superseded engine.
-            return False
-        self._shard_of(key).put(key, value, deps)
+        self._shard_of(key).put(key, value)
         return True
 
     def count_hits(self, count: int) -> None:
@@ -324,14 +333,17 @@ class AnswerCache:
 
     # -- invalidation --------------------------------------------------
     def invalidate(self, dirty) -> int:
-        """Evict every entry whose dependency set intersects ``dirty``;
-        returns the number of entries dropped."""
+        """Evict every entry whose endpoints' hub reach (in the bound
+        engine) meets ``dirty``; returns the number of entries dropped.
+        A republish must call this before :meth:`rebind`, while the
+        reach sets still describe the engine the entries came from."""
         dirty = frozenset(dirty)
         self._generation += 1
         self._invalidations += 1
         if not dirty:
             return 0
-        dropped = sum(shard.invalidate(dirty) for shard in self._shards)
+        keyer = self._keyer
+        dropped = sum(shard.invalidate(keyer, dirty) for shard in self._shards)
         self._invalidated += dropped
         return dropped
 
@@ -344,13 +356,19 @@ class AnswerCache:
         self._invalidated += dropped
         return dropped
 
-    def rebind(self, engine) -> None:
+    def rebind(self, engine, dirty=None) -> None:
         """Point keying at a new engine snapshot (fresh quantization
         levels and hub-reach sets).  Surviving entries stay valid: their
         endpoints were not dirty, so their labels — and therefore their
-        answers per bucket — are unchanged."""
+        answers per bucket and their hub reach — are unchanged.  Given
+        the incremental republish's ``dirty`` set, the memoized reach of
+        every clean vertex carries over instead of being recomputed."""
+        old = self._keyer
         self._generation += 1
-        self._keyer = _Keyer(engine)
+        keyer = _Keyer(engine)
+        if dirty is not None and old is not None:
+            keyer.inherit_reach(old, frozenset(dirty))
+        self._keyer = keyer
 
     def suspend(self) -> None:
         """Disable the cache (all lookups miss, fills drop) — the safe
@@ -379,7 +397,7 @@ class AnswerCache:
             dropped = self.flush()
         else:
             dropped = self.invalidate(dirty)
-        self.rebind(engine)
+        self.rebind(engine, dirty if incremental else None)
         return dropped
 
     # -- introspection -------------------------------------------------

@@ -29,15 +29,17 @@ queries stay bounded, and every frame still gets an ``ANSWER`` or an
 ``ERROR`` (zero silent drops; shutdown flushes the residue with typed
 ``shutting-down`` errors).
 
-**Observability.**  A :class:`~repro.serve.stats.ServerStats` (carried
-by the unified :class:`~repro.obs.metrics.MetricsRegistry`) tracks
+**Observability.**  A :class:`~repro.serve.stats.ServerStats` keeps
 admission counters, queue depth, the coalesced batch-size histogram and
-rolling p50/p95/p99 latency; :meth:`NetServer.health_report` serves the
-snapshot (plus the backend pool's own health and the flat metrics
+the request-latency histogram as metrics of the server's one
+:class:`~repro.obs.metrics.MetricsRegistry`.  Its snapshot — p50/p95/p99
+estimated from the latency buckets since start, each with its bucket's
+bounds — is a view of that registry.  :meth:`NetServer.health_report`
+serves it (plus the backend pool's own health and the flat metrics
 snapshot) over the ``HEALTH`` frame and the CLI ``serve --listen``
 status output, and the ``STATS`` frame serves either the JSON stats
-report (:meth:`NetServer.stats_report` — metrics, recent traces, the
-slow-query log) or the Prometheus text exposition
+report (:meth:`NetServer.stats_report` — the same view, recent traces,
+the slow-query log) or the Prometheus text exposition
 (:meth:`NetServer.prometheus_text`).
 
 **Per-query tracing.**  Each server owns a
@@ -247,7 +249,6 @@ class NetServer:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_us: float = DEFAULT_MAX_WAIT_US,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        stats: Optional[ServerStats] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if max_batch < 1:
@@ -266,11 +267,7 @@ class NetServer:
         # admission stats, and the bridge collectors over the backend
         # stack (cache shards, pool workers, supervisor restarts).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.stats = (
-            stats
-            if stats is not None
-            else ServerStats(registry=self.telemetry.registry)
-        )
+        self.stats = ServerStats(registry=self.telemetry.registry)
         bind_backend(self.telemetry.registry, backend)
         self._queue: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -576,32 +573,10 @@ class NetServer:
             "max_queries_per_frame": protocol.MAX_QUERIES_PER_FRAME,
         }
 
-    def health_report(self) -> dict:
-        """The front door's structured health snapshot: serving state,
-        knobs, stats (latency percentiles, queue depth, batch-size
-        histogram, shed counts), the flat metrics snapshot, the
-        telemetry summary and the backend's own health report."""
-        report = {
-            "state": "ok" if self._running else "closed",
-            "transport": "net",
-            "protocol_version": protocol.PROTOCOL_VERSION,
-            "address": list(self._address) if self._address else None,
-            "max_batch": self._max_batch,
-            "max_wait_us": self._max_wait * 1e6,
-            "max_inflight": self._max_inflight,
-        }
-        report.update(self.stats.snapshot())
-        report["metrics"] = self.telemetry.registry.snapshot()
-        report["telemetry"] = self.telemetry.summary()
-        backend_health = getattr(self._backend, "health", None)
-        if callable(backend_health):
-            report["backend"] = backend_health()
-        return report
-
-    def stats_report(self) -> dict:
-        """The JSON ``STATS`` body: server identity, admission stats,
-        the flat metrics snapshot, the telemetry summary, the most
-        recent sampled traces and the slow-query log tail."""
+    def _shared_report(self) -> dict:
+        """What ``HEALTH`` and ``STATS`` both carry: server identity, the
+        admission stats view, the flat metrics snapshot and the
+        telemetry summary — all read from the one registry."""
         return {
             "server": {
                 "state": "ok" if self._running else "closed",
@@ -611,15 +586,41 @@ class NetServer:
             "stats": self.stats.snapshot(),
             "metrics": self.telemetry.registry.snapshot(),
             "telemetry": self.telemetry.summary(),
-            "recent_traces": [
-                trace.to_dict() for trace in self.telemetry.traces.recent(8)
-            ],
-            "slow_queries": (
-                self.telemetry.slow_log.recent(8)
-                if self.telemetry.slow_log is not None
-                else []
-            ),
         }
+
+    def health_report(self) -> dict:
+        """The front door's structured health snapshot, flat: serving
+        state and identity, knobs, the stats view (latency percentiles,
+        queue depth, batch sizes, shed counts) at top level, the flat
+        metrics snapshot, the telemetry summary and the backend's own
+        health report."""
+        report = self._shared_report()
+        report.update(report.pop("server"))
+        report.update(report.pop("stats"))
+        report["transport"] = "net"
+        report["max_batch"] = self._max_batch
+        report["max_wait_us"] = self._max_wait * 1e6
+        report["max_inflight"] = self._max_inflight
+        backend_health = getattr(self._backend, "health", None)
+        if callable(backend_health):
+            report["backend"] = backend_health()
+        return report
+
+    def stats_report(self) -> dict:
+        """The JSON ``STATS`` body: the shared report (identity under
+        ``"server"``, the stats view under ``"stats"``, metrics and
+        telemetry) plus the most recent sampled traces and the
+        slow-query log tail."""
+        report = self._shared_report()
+        report["recent_traces"] = [
+            trace.to_dict() for trace in self.telemetry.traces.recent(8)
+        ]
+        report["slow_queries"] = (
+            self.telemetry.slow_log.recent(8)
+            if self.telemetry.slow_log is not None
+            else []
+        )
+        return report
 
     def prometheus_text(self) -> str:
         """The Prometheus text exposition of the unified registry."""

@@ -58,10 +58,11 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.kernels import resolve_backend
+from ..obs.metrics import BATCH_SIZE_BUCKETS, Histogram
 from .errors import PoolUnavailableError, QueryTimeoutError, ServeError
 from .health import closed_report, epoch_of, pool_report
 from .shm import ShmIndexImage, attach_image
-from .stats import BatchSizeHistogram
+from .stats import size_summary
 
 __all__ = [
     "QueryServer",
@@ -234,11 +235,14 @@ class QueryServer:
         self._supervisor = None
         #: Answer caches notified on every swap_image (republish).
         self._caches: List[object] = []
-        #: Dispatch bookkeeping: how the pool splits and reroutes work
-        #: (the kernel-batch-size signal; surfaced by :meth:`health` and
-        #: the metrics bridge).
-        self._chunk_sizes = BatchSizeHistogram()
-        self._chunks_dispatched = 0
+        #: Dispatch bookkeeping: how the pool splits and reroutes work.
+        #: Its count is the number of chunks dispatched (surfaced by
+        #: :meth:`health` and the metrics bridge, ``bind_pool``).
+        self.chunk_sizes = Histogram(
+            "repro_pool_chunk_size",
+            "Queries per chunk dispatched to a pool worker",
+            buckets=BATCH_SIZE_BUCKETS,
+        )
         self._redispatches = 0
         #: Serializes structural mutation of the worker table (dispatch,
         #: respawn, swap, close) against the supervisor thread.
@@ -561,7 +565,6 @@ class QueryServer:
             slot, process = live[next(self._round_robin) % len(live)]
             job_id = self._next_job
             self._next_job += 1
-            self._chunks_dispatched += 1
             if chunk.attempts:
                 self._redispatches += 1
             chunk.attempts += 1
@@ -570,7 +573,7 @@ class QueryServer:
                 time.monotonic() + timeout if timeout is not None else None
             )
             jobs[job_id] = chunk
-            self._chunk_sizes.observe(len(chunk.queries))
+            self.chunk_sizes.observe(len(chunk.queries))
             self._task_queues[slot].put((job_id, "query", chunk.queries))
             return True
 
@@ -789,14 +792,14 @@ class QueryServer:
     def dispatch_snapshot(self) -> dict:
         """The pool's dispatch bookkeeping: chunks handed to workers,
         redispatches (repairs after a death or deadline miss), and the
-        power-of-two chunk-size histogram."""
+        chunk-size summary of :attr:`chunk_sizes`."""
+        chunk_sizes = size_summary(self.chunk_sizes)
         with self._lock:
-            chunks = self._chunks_dispatched
             redispatches = self._redispatches
         return {
-            "chunks": chunks,
+            "chunks": chunk_sizes["batches"],
             "redispatches": redispatches,
-            "chunk_sizes": self._chunk_sizes.snapshot(),
+            "chunk_sizes": chunk_sizes,
         }
 
     def health(self) -> dict:

@@ -1,40 +1,40 @@
-"""Serving statistics on the unified metrics registry.
+"""Serving statistics, read from the unified metrics registry.
 
-:class:`ServerStats` is the network front door's admission bookkeeping,
-now carried by :mod:`repro.obs.metrics` primitives — the counters are
-registry ``Counter``s (``repro_queries_*_total``), the gauges registry
-``Gauge``s (``repro_queue_depth``, ``repro_connections``), and every
-answer latency / coalesced batch size also lands in a fixed-bucket
-registry ``Histogram`` (``repro_request_latency_seconds``,
-``repro_batch_size``) so scrapes get cumulative time-series shapes.
+:class:`ServerStats` is the network front door's admission bookkeeping.
+Every number it reports is a metric on one
+:class:`~repro.obs.metrics.MetricsRegistry`: the counters
+``repro_queries_{admitted,answered,failed,shed}_total``, the gauges
+``repro_queue_depth`` / ``repro_connections``, and the histograms
+``repro_request_latency_seconds`` (admission to answer) and
+``repro_batch_size`` (queries per coalesced backend call).
+:meth:`ServerStats.snapshot` is a view computed from those metrics — the
+dict the ``HEALTH`` frame, the ``STATS`` report and the CLI status line
+print — so a Prometheus scrape and a JSON report cannot disagree.
 
-Two windowed views survive alongside the cumulative metrics because
-they answer a different question — "how is serving *right now*":
-:class:`LatencyWindow` keeps the last N latency samples inside a
-sliding time window and reports nearest-rank percentiles;
-:class:`BatchSizeHistogram` buckets coalesced batch sizes by powers of
-two.  ``snapshot()`` keeps its pre-registry shape, so the ``HEALTH``
-frame and the CLI status line are unchanged.
+Latency percentiles are estimated from the histogram's buckets since
+the server started (:func:`~repro.obs.metrics.histogram_quantile`,
+interpolated as Prometheus does), each with the bounds of its bucket,
+between which the exact percentile lies.  ``repro top`` applies the same
+estimator to the difference of two scrapes to show the latency of its
+last refresh.
 
-Everything here is O(window) memory, lock-guarded (the asyncio loop,
-executor threads and the scrape path all read), and stdlib-only.
+:func:`percentile` is the exact nearest-rank percentile of a sample
+list, for callers that hold their own samples (the load generator).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..obs.metrics import BATCH_SIZE_BUCKETS, Histogram, MetricsRegistry
+from ..obs.metrics import (
+    BATCH_SIZE_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+    histogram_quantile,
+)
 
-__all__ = [
-    "percentile",
-    "LatencyWindow",
-    "BatchSizeHistogram",
-    "ServerStats",
-]
+__all__ = ["percentile", "size_summary", "ServerStats"]
 
 #: The percentiles every snapshot reports.
 DEFAULT_PERCENTILES = (50.0, 95.0, 99.0)
@@ -45,14 +45,12 @@ def percentile(sorted_samples: Sequence[float], p: float) -> float:
 
     ``p`` is in [0, 100].  Edge cases are deliberate and documented:
 
-    * **empty input returns ``nan``** — a window with no traffic has no
-      latency, and ``nan`` is honest about it (it propagates through
-      arithmetic and JSON-sanitizes visibly, where a silent ``0`` would
-      read as "blazing fast");
+    * **empty input returns ``nan``** — no traffic has no latency, and
+      ``nan`` is honest about it (it propagates through arithmetic and
+      JSON-sanitizes visibly, where a silent ``0`` would read as
+      "blazing fast");
     * **a single sample is every percentile of itself** — nearest-rank
-      over ``[x]`` returns ``x`` for any ``p``, so a one-request window
-      reports ``p50 == p95 == p99 == x`` rather than raising or
-      interpolating against nothing.
+      over ``[x]`` returns ``x`` for any ``p``.
     """
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
@@ -64,122 +62,44 @@ def percentile(sorted_samples: Sequence[float], p: float) -> float:
     return sorted_samples[int(rank) - 1]
 
 
-class LatencyWindow:
-    """The last ``max_samples`` latencies inside ``window_seconds``.
+def size_summary(hist: Histogram) -> Dict[str, object]:
+    """``{"batches", "mean_size", "buckets"}`` of a size histogram: the
+    number of observations, their mean, and the count of each non-empty
+    bucket keyed ``"<=bound"`` (``"<=inf"`` past the largest bound)."""
+    buckets, total, batches = hist.cumulative()
+    counts: Dict[str, int] = {}
+    below = 0
+    for bound, cumulative in buckets:
+        if cumulative > below:
+            counts[f"<={bound:g}"] = cumulative - below
+        below = cumulative
+    return {
+        "batches": batches,
+        "mean_size": total / batches if batches else 0.0,
+        "buckets": counts,
+    }
 
-    Both bounds apply: old samples age out by time (an idle server's
-    percentiles reflect current silence, not last hour's burst) and the
-    deque caps memory under sustained load.  ``observe`` is O(1);
-    ``snapshot`` sorts the live window (O(n log n), n <= max_samples).
 
-    Edge cases (see :func:`percentile`): an empty window snapshots with
-    ``count == 0`` and ``nan`` for the mean and every percentile; a
-    single-sample window reports that sample as every percentile.
-    """
-
-    def __init__(
-        self, *, max_samples: int = 4096, window_seconds: float = 60.0
-    ) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        if window_seconds <= 0:
-            raise ValueError(
-                f"window_seconds must be positive, got {window_seconds}"
-            )
-        self._window = window_seconds
-        self._samples: deque = deque(maxlen=max_samples)  # (when, seconds)
-        self._lock = threading.Lock()
-        self._total = 0
-
-    def observe(self, seconds: float, *, now: Optional[float] = None) -> None:
-        if now is None:
-            now = time.monotonic()
-        with self._lock:
-            self._samples.append((now, seconds))
-            self._total += 1
-
-    def _live(self, now: Optional[float]) -> List[float]:
-        if now is None:
-            now = time.monotonic()
-        horizon = now - self._window
-        with self._lock:
-            while self._samples and self._samples[0][0] < horizon:
-                self._samples.popleft()
-            return [seconds for _, seconds in self._samples]
-
-    @property
-    def total_observed(self) -> int:
-        """Samples ever observed (not just the live window)."""
-        with self._lock:
-            return self._total
-
-    def snapshot(
-        self,
-        *,
-        percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-        now: Optional[float] = None,
-    ) -> Dict[str, float]:
-        """``{"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}`` of the
-        live window (latencies reported in milliseconds; ``nan``
-        sentinels when the window is empty — see :func:`percentile`)."""
-        live = sorted(self._live(now))
-        report: Dict[str, float] = {"count": len(live)}
-        report["mean_ms"] = (
-            sum(live) / len(live) * 1000.0 if live else float("nan")
+def _latency_summary(hist: Histogram) -> Dict[str, object]:
+    """Count, mean and bucket-estimated percentiles (milliseconds) of a
+    latency histogram, each percentile with its bucket's bounds; ``nan``
+    and ``None`` bounds when nothing was observed."""
+    buckets, total, count = hist.cumulative()
+    report: Dict[str, object] = {
+        "count": count,
+        "mean_ms": total / count * 1000.0 if count else float("nan"),
+    }
+    for p in DEFAULT_PERCENTILES:
+        estimate, bounds = histogram_quantile(p / 100.0, buckets)
+        report[f"p{p:g}_ms"] = estimate * 1000.0
+        report[f"p{p:g}_bounds_ms"] = (
+            [bound * 1000.0 for bound in bounds] if bounds else None
         )
-        for p in percentiles:
-            label = f"p{p:g}_ms"
-            report[label] = percentile(live, p) * 1000.0
-        return report
-
-
-class BatchSizeHistogram:
-    """Power-of-two histogram of coalesced batch sizes.
-
-    Bucket ``k`` counts batches of ``2^(k-1) < size <= 2^k`` (bucket 1
-    is exactly size 1) — wide enough to read micro-batching behaviour,
-    cheap enough to keep forever (no windowing: the shape, not the
-    rate, is the signal).  ``mirror`` is an optional registry
-    :class:`~repro.obs.metrics.Histogram` that receives every
-    observation too (``ServerStats`` wires ``repro_batch_size``).
-    """
-
-    def __init__(self, mirror: Optional[Histogram] = None) -> None:
-        self._buckets: Dict[int, int] = {}
-        self._lock = threading.Lock()
-        self._batches = 0
-        self._queries = 0
-        self._mirror = mirror
-
-    def observe(self, size: int) -> None:
-        if size < 1:
-            raise ValueError(f"batch size must be >= 1, got {size}")
-        ceiling = 1
-        while ceiling < size:
-            ceiling *= 2
-        with self._lock:
-            self._buckets[ceiling] = self._buckets.get(ceiling, 0) + 1
-            self._batches += 1
-            self._queries += size
-        if self._mirror is not None:
-            self._mirror.observe(size)
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            buckets = {
-                f"<={ceiling}": count
-                for ceiling, count in sorted(self._buckets.items())
-            }
-            mean = self._queries / self._batches if self._batches else 0.0
-            return {
-                "batches": self._batches,
-                "mean_size": mean,
-                "buckets": buckets,
-            }
+    return report
 
 
 class ServerStats:
-    """The front door's counters, gauges and windows in one object.
+    """The front door's counters, gauges and histograms in one object.
 
     * ``admitted`` / ``answered`` / ``failed`` / ``shed`` count queries
       (not frames): everything admitted ends up answered or failed, and
@@ -187,40 +107,25 @@ class ServerStats:
       invariant is checkable as ``admitted == answered + failed +
       in_flight``.
     * ``queue_depth`` gauges queries admitted but not yet answered.
-    * ``latency`` is the admission-to-answer :class:`LatencyWindow` of
-      admitted queries; ``batch_sizes`` the coalescing histogram.
+    * ``latency`` is the ``repro_request_latency_seconds`` histogram of
+      admitted requests, ``batch_sizes`` the ``repro_batch_size`` one.
 
     All of it lives on a :class:`~repro.obs.metrics.MetricsRegistry`
     (pass one to share it with tracing and the bridge collectors, or
-    let the stats own a private one): the counters are
-    ``repro_queries_{admitted,answered,failed,shed}_total``, the gauges
-    ``repro_queue_depth`` / ``repro_connections``, and every answer
-    also lands in the ``repro_request_latency_seconds`` and
-    ``repro_batch_size`` histograms.  One outer lock still spans each
+    let the stats own a private one).  One outer lock spans each
     multi-metric update, so the invariant holds at every snapshot.
     """
 
-    def __init__(
-        self,
-        *,
-        max_samples: int = 4096,
-        window_seconds: float = 60.0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, *, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.latency = LatencyWindow(
-            max_samples=max_samples, window_seconds=window_seconds
-        )
-        self._latency_hist = self.registry.histogram(
+        self.latency = self.registry.histogram(
             "repro_request_latency_seconds",
             "Admission-to-answer latency of admitted queries",
         )
-        self.batch_sizes = BatchSizeHistogram(
-            mirror=self.registry.histogram(
-                "repro_batch_size",
-                "Coalesced batch sizes dispatched to the backend",
-                buckets=BATCH_SIZE_BUCKETS,
-            )
+        self.batch_sizes = self.registry.histogram(
+            "repro_batch_size",
+            "Coalesced batch sizes dispatched to the backend",
+            buckets=BATCH_SIZE_BUCKETS,
         )
         self._lock = threading.Lock()
         self._admitted = self.registry.counter(
@@ -253,7 +158,6 @@ class ServerStats:
             self._answered.inc(queries)
             self._queue_depth.dec(queries)
         self.latency.observe(seconds)
-        self._latency_hist.observe(seconds)
 
     def fail(self, queries: int) -> None:
         with self._lock:
@@ -297,6 +201,6 @@ class ServerStats:
             "queries": counters,
             "queue_depth": queue_depth,
             "connections": connections,
-            "latency": self.latency.snapshot(),
-            "batch_sizes": self.batch_sizes.snapshot(),
+            "latency": _latency_summary(self.latency),
+            "batch_sizes": size_summary(self.batch_sizes),
         }

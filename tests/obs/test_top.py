@@ -53,6 +53,24 @@ class TestRenderDashboard:
         # No previous scrape: rate is unknowable, not zero.
         assert "qps         --" in render_dashboard(now)
 
+    def test_latency_since_start_without_a_previous_scrape(self):
+        assert "(since start, n=120)" in render_dashboard(_report())
+
+    def test_latency_over_the_last_refresh_from_bucket_deltas(self):
+        def with_buckets(counts):
+            report = _report()
+            for le, count in zip(("0.001", "0.01", "+Inf"), counts):
+                name = f'repro_request_latency_seconds_bucket{{le="{le}"}}'
+                report["metrics"][name] = count
+            return report
+
+        # 100 fast requests before; the next 10 all land in (1, 10] ms.
+        prev = with_buckets((100, 100, 100))
+        now = with_buckets((100, 110, 110))
+        text = render_dashboard(now, prev, elapsed_s=2.0)
+        assert "p50    5.500" in text
+        assert "(last 2.0 s, n=10)" in text
+
     def test_empty_window_renders_sentinels_not_a_crash(self):
         # Over the wire the sanitizer carries NaN as the string "nan".
         report = _report()

@@ -213,6 +213,27 @@ class TestInvalidation:
         assert cache.get(cache.key_for((3, 5, 1.0)), count=False) is not MISS
         assert cache.get(cache.key_for((0, 2, 1.0)), count=False) is MISS
 
+    def test_entry_filled_before_a_rebind_still_tracks_its_hubs(self):
+        # Two components; the pair (0, 2) reaches hub 1 through its labels.
+        g = Graph(6)
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(1, 2, 2.0)
+        g.add_edge(3, 4, 1.0)
+        g.add_edge(4, 5, 2.0)
+        frozen = build_wc_index_plus(g, "degree").freeze()
+        hubs = {hub for hub, _, _ in frozen.entries_of(0)} - {0, 2}
+        assert hubs
+        cache = AnswerCache(frozen, entries=64)
+        client = CachingClient(InProcessClient(frozen), cache)
+        client.distance_many([(0, 2, 1.0)])
+        key = cache.key_for((0, 2, 1.0))
+        # A republish dirtying only the other component keeps the entry...
+        assert cache.on_republish(engine=frozen, dirty=frozenset([4])) == 0
+        assert cache.get(key, count=False) is not MISS
+        # ... and a later one dirtying a hub in its reach still evicts it.
+        assert cache.on_republish(engine=frozen, dirty=frozenset(hubs)) == 1
+        assert cache.get(key, count=False) is MISS
+
     def test_empty_dirty_set_keeps_everything_but_bumps_generation(self):
         frozen = small_frozen()
         cache = AnswerCache(frozen, entries=16)

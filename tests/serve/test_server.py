@@ -61,6 +61,12 @@ class TestQueryServer:
         expected = frozen.distance_many(workload)
         with QueryServer(frozen, workers=2) as server:
             assert server.query_batch(workload, chunk_size=7) == expected
+            chunks = -(-len(workload) // 7)
+            dispatch = server.health()["dispatch"]
+            assert dispatch["chunks"] == chunks
+            assert dispatch["redispatches"] == 0
+            assert sum(dispatch["chunk_sizes"]["buckets"].values()) == chunks
+            assert dispatch["chunk_sizes"]["mean_size"] == len(workload) / chunks
             assert (
                 server.query_batch(workload, chunk_size=len(workload) * 2)
                 == expected

@@ -1,16 +1,17 @@
-"""Tests for the rolling-window serving stats."""
+"""Tests for the serving stats view and the bucket quantile estimate."""
 
 import math
+import random
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.serve.stats import (
-    BatchSizeHistogram,
-    LatencyWindow,
-    ServerStats,
-    percentile,
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+    histogram_quantile,
 )
+from repro.serve.stats import ServerStats, percentile
 
 
 class TestPercentile:
@@ -49,67 +50,56 @@ class TestPercentile:
             percentile([1.0], -0.1)
 
 
-class TestLatencyWindow:
-    def test_snapshot_shape(self):
-        window = LatencyWindow()
-        for ms in (1.0, 2.0, 3.0):
-            window.observe(ms / 1e3)
-        snap = window.snapshot()
-        assert snap["count"] == 3
-        assert snap["mean_ms"] == 2.0
-        assert snap["p50_ms"] == 2.0
-        assert snap["p99_ms"] == 3.0
-
-    def test_time_window_prunes(self):
-        window = LatencyWindow(window_seconds=10.0)
-        window.observe(0.001, now=0.0)
-        window.observe(0.002, now=11.0)
-        snap = window.snapshot(now=11.0)
-        assert snap["count"] == 1
-        assert snap["p50_ms"] == 2.0
-
-    def test_bounded_samples(self):
-        window = LatencyWindow(max_samples=16)
-        for i in range(100):
-            window.observe(float(i))
-        assert window.snapshot()["count"] == 16
-
-    def test_empty_window_snapshots_nan_sentinels(self):
-        snap = LatencyWindow().snapshot()
-        assert snap["count"] == 0
-        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
-            assert math.isnan(snap[key])
-
-    def test_single_sample_is_every_percentile(self):
-        window = LatencyWindow()
-        window.observe(0.004)
-        snap = window.snapshot()
-        assert snap["count"] == 1
-        assert snap["mean_ms"] == snap["p50_ms"] == snap["p99_ms"] == 4.0
-
-    def test_aged_out_window_returns_to_sentinels(self):
-        window = LatencyWindow(window_seconds=5.0)
-        window.observe(0.001, now=0.0)
-        snap = window.snapshot(now=60.0)
-        assert snap["count"] == 0
-        assert math.isnan(snap["p99_ms"])
+def _histogram(samples, buckets=DEFAULT_LATENCY_BUCKETS):
+    hist = Histogram("h", buckets=buckets)
+    for sample in samples:
+        hist.observe(sample)
+    return hist.cumulative()[0]
 
 
-class TestBatchSizeHistogram:
-    def test_power_of_two_buckets(self):
-        hist = BatchSizeHistogram()
-        for size in (1, 2, 3, 64, 128):
-            hist.observe(size)
-        snap = hist.snapshot()
-        assert snap["batches"] == 5
-        assert snap["mean_size"] == (1 + 2 + 3 + 64 + 128) / 5
-        assert snap["buckets"] == {
-            "<=1": 1,
-            "<=2": 1,
-            "<=4": 1,
-            "<=64": 1,
-            "<=128": 1,
-        }
+class TestHistogramQuantile:
+    def test_empty_histogram_is_nan_without_bounds(self):
+        for q in (0.0, 0.5, 0.99, 1.0):
+            estimate, bounds = histogram_quantile(q, _histogram([]))
+            assert math.isnan(estimate)
+            assert bounds is None
+        estimate, bounds = histogram_quantile(0.5, [])
+        assert math.isnan(estimate) and bounds is None
+
+    def test_single_sample_inside_its_bounds(self):
+        for q in (0.0, 0.5, 0.99, 1.0):
+            estimate, (lo, hi) = histogram_quantile(q, _histogram([0.004]))
+            assert lo <= 0.004 <= hi
+            assert lo <= estimate <= hi
+
+    def test_nearest_rank_percentile_inside_the_bounds(self):
+        rng = random.Random(7)
+        for trial in range(50):
+            samples = [
+                rng.lognormvariate(-7.0, 2.0) for _ in range(rng.randint(1, 300))
+            ]
+            buckets = _histogram(samples)
+            ordered = sorted(samples)
+            for p in (0.0, 1.0, 50.0, 95.0, 99.0, 100.0):
+                exact = percentile(ordered, p)
+                estimate, (lo, hi) = histogram_quantile(p / 100.0, buckets)
+                assert lo <= exact <= hi, (trial, p)
+                assert lo <= estimate <= hi
+
+    def test_interpolates_inside_the_bucket(self):
+        # Four samples in (1, 2]: the median interpolates to the middle.
+        estimate, bounds = histogram_quantile(0.5, _histogram([1.5] * 4, (1, 2)))
+        assert bounds == (1.0, 2.0)
+        assert estimate == 1.5
+
+    def test_overflow_bucket_reports_the_highest_finite_bound(self):
+        estimate, bounds = histogram_quantile(0.99, _histogram([50.0], (1, 2)))
+        assert estimate == 2.0
+        assert bounds == (2.0, math.inf)
+
+    def test_out_of_range_q_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            histogram_quantile(1.5, _histogram([1.0]))
 
 
 class TestServerStats:
@@ -169,5 +159,42 @@ class TestServerStats:
         snap = registry.snapshot()
         assert snap["repro_batch_size_count"] == 2
         assert snap["repro_batch_size_sum"] == 103
-        # Window view and cumulative view agree on the count.
+        # The stats view is read from the same histogram.
         assert stats.snapshot()["batch_sizes"]["batches"] == 2
+
+    def test_snapshot_shape(self):
+        stats = ServerStats()
+        for ms in (1.0, 2.0, 3.0):
+            stats.answer(1, ms / 1e3)
+        latency = stats.snapshot()["latency"]
+        assert latency["count"] == 3
+        assert latency["mean_ms"] == pytest.approx(2.0)
+        for key in ("p50", "p95", "p99"):
+            lo, hi = latency[f"{key}_bounds_ms"]
+            assert lo <= latency[f"{key}_ms"] <= hi
+        # 1, 2 and 3 ms fall in the (1, 2.5] and (2.5, 5] ms buckets.
+        assert latency["p50_bounds_ms"] == pytest.approx([1.0, 2.5])
+        assert latency["p99_bounds_ms"] == pytest.approx([2.5, 5.0])
+
+    def test_empty_snapshot_is_nan_without_bounds(self):
+        latency = ServerStats().snapshot()["latency"]
+        assert latency["count"] == 0
+        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
+            assert math.isnan(latency[key])
+        assert latency["p99_bounds_ms"] is None
+
+    def test_batch_size_buckets_follow_the_registry_bounds(self):
+        stats = ServerStats()
+        for size in (1, 2, 3, 64, 100, 128, 5000):
+            stats.batch_sizes.observe(size)
+        snap = stats.snapshot()["batch_sizes"]
+        assert snap["batches"] == 7
+        assert snap["mean_size"] == (1 + 2 + 3 + 64 + 100 + 128 + 5000) / 7
+        assert snap["buckets"] == {
+            "<=1": 1,
+            "<=2": 1,
+            "<=4": 1,
+            "<=64": 1,
+            "<=128": 2,
+            "<=16384": 1,
+        }

@@ -14,6 +14,8 @@ from repro.serve import (
     InProcessClient,
     NetClient,
     NetServerThread,
+    PoolClient,
+    QueryServer,
 )
 from repro.serve import protocol
 from repro.workloads.queries import random_queries
@@ -32,6 +34,14 @@ def frozen(network):
 @pytest.fixture(scope="module")
 def workload(network):
     return list(random_queries(network, 60, seed=2))
+
+
+@pytest.fixture(scope="module")
+def pool(frozen):
+    # REQUIRED_METRICS is the contract of a pooled server (it includes
+    # the pool's chunk-size histogram).
+    with QueryServer(frozen, workers=1) as server:
+        yield server
 
 
 def _await_trace(client, trace_id, deadline_s=5.0):
@@ -126,8 +136,8 @@ class TestTracedRequests:
 
 
 class TestStatsScrapes:
-    def test_json_stats_shape(self, frozen, workload):
-        with NetServerThread(InProcessClient(frozen)) as front:
+    def test_json_stats_shape(self, pool, workload):
+        with NetServerThread(PoolClient(pool)) as front:
             with NetClient(*front.address) as client:
                 client.distance_many(workload)
                 report = client.stats()
@@ -136,10 +146,8 @@ class TestStatsScrapes:
         for name in REQUIRED_METRICS:
             assert name in report["metrics"], name
 
-    def test_prometheus_scrape_exposes_required_metrics(
-        self, frozen, workload
-    ):
-        with NetServerThread(InProcessClient(frozen)) as front:
+    def test_prometheus_scrape_exposes_required_metrics(self, pool, workload):
+        with NetServerThread(PoolClient(pool)) as front:
             with NetClient(*front.address) as client:
                 client.distance_many(workload)
                 text = client.stats(prometheus=True)
@@ -147,8 +155,8 @@ class TestStatsScrapes:
             assert name in text, name
         assert "# TYPE repro_queries_answered_total counter" in text
 
-    def test_counters_monotonic_across_scrapes(self, frozen, workload):
-        with NetServerThread(InProcessClient(frozen)) as front:
+    def test_counters_monotonic_across_scrapes(self, pool, workload):
+        with NetServerThread(PoolClient(pool)) as front:
             with NetClient(*front.address) as client:
                 client.distance_many(workload)
                 first = client.stats()["metrics"]
@@ -160,6 +168,9 @@ class TestStatsScrapes:
         assert (
             second["repro_queries_answered_total"]
             == first["repro_queries_answered_total"] + len(workload)
+        )
+        assert (
+            second["repro_pool_chunk_size_count"] > first["repro_pool_chunk_size_count"]
         )
 
     def test_health_report_embeds_metrics_and_telemetry(
