@@ -16,12 +16,12 @@ side (:class:`_FlatSide`) holds:
 * ``parents`` — a tuple of 0, 1 or 2 entry-parallel ``"i"`` columns (BFS
   parents, or the weighted family's ``(parent_vertex, parent_entry)``
   pairs) when the source index tracked them,
-* a lazily built **group directory** — per vertex, the list of
-  ``(hub_rank, group_start, group_end)`` triples (global positions), so
-  the ``*_flat`` merge kernels step one group at a time and never scan for
-  a boundary, plus a ``hub_rank -> (start, end)`` map per vertex that the
-  stdlib batch path uses to intersect the *smaller* side's groups against
-  the larger side in ``O(min)`` hash lookups.
+* the **hub groups** of each vertex, built the first time a query
+  touches that vertex — an ordered ``hub_rank -> (start, end)`` map
+  (global positions), so the ``*_flat`` merge kernels step one group at
+  a time and never scan for a boundary, and the stdlib batch path
+  intersects the *smaller* side's groups against the larger side in
+  ``O(min)`` hash lookups.
 
 The engine is **two-sided**: a query ``(s, t, w)`` merges the out side
 of ``s`` against the in side of ``t``.  The directed family keeps
@@ -68,6 +68,8 @@ import importlib
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
+from operator import ne
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .kernels import resolve_backend
@@ -318,10 +320,10 @@ class FrozenIndex:
             ) from None
         out, inn = self._out, self._in
         return merge(
-            out.directory()[s],
+            out.directory(s),
             out.dists,
             out.quals,
-            inn.directory()[t],
+            inn.directory(t),
             inn.dists,
             inn.quals,
             w,
@@ -336,10 +338,10 @@ class FrozenIndex:
         self._check_vertex(t)
         out, inn = self._out, self._in
         best, a, b = merge_linear_flat_with_witness(
-            out.directory()[s],
+            out.directory(s),
             out.dists,
             out.quals,
-            inn.directory()[t],
+            inn.directory(t),
             inn.dists,
             inn.quals,
             w,
@@ -358,17 +360,11 @@ class FrozenIndex:
         The hot path of the engine: the batch runs through the selected
         kernel backend (see :mod:`repro.core.kernels`) — the stdlib
         hash-intersection merge or the vectorized numpy kernels — over
-        per-side state cached on the flat stores (out side for sources,
-        in side for targets).  Answers are bit-identical across
-        backends.
+        the flat stores (out side for sources, in side for targets) and
+        whatever per-side state the backend caches on them.  Answers
+        are bit-identical across backends.
         """
-        backend = self._backend
-        return backend.batch(
-            queries,
-            self._out.kernel_state(backend),
-            self._in.kernel_state(backend),
-            len(self.order),
-        )
+        return self._backend.batch(queries, self._out, self._in, len(self.order))
 
     # ------------------------------------------------------------------
     # Kernel backend selection
@@ -418,10 +414,10 @@ class FrozenIndex:
             side.release()
 
     def group_directory(self, v: int) -> List[Tuple[int, int, int]]:
-        """The precomputed ``(hub_rank, start, end)`` triples of ``v``'s
-        out side (global positions into the flat arrays)."""
+        """The ``(hub_rank, start, end)`` group triples of ``v``'s out
+        side (global positions into the flat arrays)."""
         self._check_vertex(v)
-        return list(self._out.directory()[v])
+        return self._out.directory(v)
 
     def label_size(self, v: int) -> int:
         self._check_vertex(v)
@@ -635,32 +631,49 @@ def splice_label_side(old_side: "_FlatSide", replacements) -> "_FlatSide":
     return _FlatSide(n, offsets, *columns)
 
 
-def _build_directory(
-    offsets, hubs
-) -> List[List[Tuple[int, int, int]]]:
-    """Per-vertex ``(hub_rank, start, end)`` triples — the one pass that
-    pays the ``group_end`` scan so no query ever does."""
-    directory: List[List[Tuple[int, int, int]]] = []
-    n = len(offsets) - 1
-    for v in range(n):
-        stop = offsets[v + 1]
-        groups: List[Tuple[int, int, int]] = []
-        i = offsets[v]
+class _HubGroups(dict):
+    """Vertex -> its label's hub groups, as an ordered ``hub_rank ->
+    (start, end)`` map over global positions (ascending hub rank, the
+    label's own order), built the first time a query looks the vertex
+    up.
+
+    One map serves both roles a query needs: iterated, it is the
+    vertex's group list; probed, its hub map.  Building per vertex on
+    first touch means attaching an image costs nothing up front and a
+    query pays only for the labels it reads — a worker's first small
+    batch after a swap scans two labels per query, not the whole image.
+    Callers check the vertex range before the lookup.
+    """
+
+    __slots__ = ("offsets", "hubs")
+
+    def __init__(self, offsets, hubs) -> None:
+        super().__init__()
+        self.offsets = offsets
+        self.hubs = hubs
+
+    def __missing__(self, v: int) -> dict:
+        hubs = self.hubs
+        stop = self.offsets[v + 1]
+        i = self.offsets[v]
+        groups = {}
         while i < stop:
             hub = hubs[i]
             j = i + 1
             while j < stop and hubs[j] == hub:
                 j += 1
-            groups.append((hub, i, j))
+            groups[hub] = (i, j)
             i = j
-        directory.append(groups)
-    return directory
+        # Published only once complete: a thread racing on the same
+        # vertex sees nothing (and builds an equal map) or all of it.
+        self[v] = groups
+        return groups
 
 
 class _FlatSide:
     """One flat label store: the global parallel view triple, its offset
-    table, the parent columns, and the lazily built group directory plus
-    ``hub_rank -> (start, end)`` map.
+    table, the parent columns, and the per-vertex hub groups
+    (:class:`_HubGroups`), built as queries touch vertices.
 
     The single source of truth for the flat layout: a symmetric engine
     owns one side, the directed engine two (``L_in`` / ``L_out``).
@@ -675,8 +688,7 @@ class _FlatSide:
         "dists",
         "quals",
         "parents",
-        "_directory",
-        "_hub_map",
+        "groups",
         "_kernel_states",
     )
 
@@ -700,8 +712,7 @@ class _FlatSide:
         self.dists = dists
         self.quals = quals
         self.parents = parents
-        self._directory: Optional[List[List[Tuple[int, int, int]]]] = None
-        self._hub_map: Optional[List[dict]] = None
+        self.groups = _HubGroups(offsets, hubs)
         self._kernel_states: dict = {}
 
     def release(self) -> None:
@@ -711,10 +722,9 @@ class _FlatSide:
         # backend's frombuffer arrays do) — drop them first, or
         # memoryview.release() raises BufferError.
         self._kernel_states = {}
+        self.groups.clear()
         for view in self.raw_arrays():
             view.release()
-        self._directory = None
-        self._hub_map = None
 
     @classmethod
     def from_lists(
@@ -745,11 +755,10 @@ class _FlatSide:
                     column.extend(values)
         return cls(n, offsets, hubs, dists, quals, *parents)
 
-    def directory(self) -> List[List[Tuple[int, int, int]]]:
-        groups = self._directory
-        if groups is None:
-            groups = self._directory = _build_directory(self.offsets, self.hubs)
-        return groups
+    def directory(self, v: int) -> List[Tuple[int, int, int]]:
+        """Vertex ``v``'s ``(hub_rank, start, end)`` group triples — the
+        shape the ``*_flat`` merge kernels step through."""
+        return [(hub, start, end) for hub, (start, end) in self.groups[v].items()]
 
     def kernel_state(self, backend) -> object:
         """This side's prepared state for ``backend``, built on first use
@@ -759,15 +768,6 @@ class _FlatSide:
         if state is None:
             state = self._kernel_states[backend.name] = backend.prepare_side(self)
         return state
-
-    def hub_map(self) -> List[dict]:
-        hub_map = self._hub_map
-        if hub_map is None:
-            hub_map = self._hub_map = [
-                {hub: (start, end) for hub, start, end in groups}
-                for groups in self.directory()
-            ]
-        return hub_map
 
     def label_slices(self, v: int):
         """Zero-copy ``memoryview`` slices of vertex ``v``'s entries."""
@@ -808,7 +808,15 @@ class _FlatSide:
         )
 
     def group_count(self) -> int:
-        return sum(len(groups) for groups in self.directory())
+        """Hub groups, counted from their boundaries without building
+        them: a group starts at every non-empty label's first entry and
+        wherever the hub rank changes."""
+        hubs = self.hubs
+        total = len(hubs)
+        starts = set(self.offsets.tolist())
+        starts.update(compress(range(1, total), map(ne, hubs[1:], hubs)))
+        starts.discard(total)
+        return len(starts)
 
     def nbytes(self) -> int:
         """Flat arrays plus the group directory at flat-array rates."""

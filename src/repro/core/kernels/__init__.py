@@ -2,8 +2,9 @@
 
 The frozen engines (:mod:`repro.core.frozen`) answer ``distance_many``
 batches through one *kernel backend*: an object that knows how to
-prepare per-side state over a :class:`~repro.core.frozen._FlatSide`'s
-typed memoryviews and run the batch hub-intersection merge over it.
+run the batch hub-intersection merge over
+:class:`~repro.core.frozen._FlatSide` stores (their typed memoryviews
+and whatever per-side state it derives from them).
 Two backends ship:
 
 * ``stdlib`` (:mod:`repro.core.kernels.stdlib`) — the pure-Python flat
@@ -13,6 +14,12 @@ Two backends ship:
   buffers with ``numpy.frombuffer`` (zero copies) and answers whole
   workloads with vectorized group intersection and feasibility scans —
   no Python-level inner loop.  Available only when numpy is installed.
+  Its cost grows with the distinct thresholds of a batch, the stdlib
+  merge's with its queries, so a batch with too few queries per
+  distinct ``w`` (a small one, or one with nearly a threshold per
+  query) is answered by the stdlib kernel — bit-identically, and
+  without building numpy state — whether ``numpy`` was chosen by
+  ``"auto"`` or by name.
 
 Backend selection is a *name* threaded through every layer — engine
 constructors, ``load_frozen`` / ``attach_frozen``, the shared-memory
@@ -58,10 +65,12 @@ class KernelBackend:
     """One query-kernel implementation over the frozen flat layout.
 
     A backend is stateless and shared (the registry hands out one
-    instance per name); all per-index state lives in the opaque object
-    :meth:`prepare_side` returns, which the owning
-    :class:`~repro.core.frozen._FlatSide` caches per backend name and
-    drops on :meth:`~repro.core.frozen._FlatSide.release`.
+    instance per name).  :meth:`batch` receives the engine's
+    :class:`~repro.core.frozen._FlatSide` stores themselves; a backend
+    that derives per-side state fetches it with
+    ``side.kernel_state(self)``, which builds it once through
+    :meth:`prepare_side`, caches it per backend name on the side and
+    drops it on :meth:`~repro.core.frozen._FlatSide.release`.
     """
 
     #: Registry name; also what ``stats`` / ``health()`` report.
@@ -71,25 +80,26 @@ class KernelBackend:
         """Build this backend's per-side state over a ``_FlatSide``.
 
         Must not copy the label arrays — wrap the side's typed
-        memoryviews (stdlib: as-is; numpy: ``numpy.frombuffer``).
-        Derived structures (group directories, hash maps, sorted keys)
-        are fair game: they are metadata, not label data.
+        memoryviews (numpy: ``numpy.frombuffer``).  Derived structures
+        (group directories, hash maps, sorted keys) are fair game: they
+        are metadata, not label data.  A backend with no per-side state
+        beyond the side's own hub groups (stdlib) never needs it.
         """
         raise NotImplementedError
 
     def batch(
         self,
         queries,
-        state_s,
-        state_t,
+        side_s,
+        side_t,
         n: int,
     ) -> List[float]:
-        """Answer ``(s, t, w)`` queries; ``state_s`` serves the source
-        vertices, ``state_t`` the targets (the same object for the
-        undirected and weighted engines, out-/in-side states for the
-        directed engine).  Must return answers bit-identical to the
-        stdlib backend and raise ``ValueError`` with the same message
-        on an out-of-range vertex."""
+        """Answer ``(s, t, w)`` queries; ``side_s`` serves the source
+        vertices, ``side_t`` the targets (the same side for the
+        undirected and weighted engines, out-/in-side for the directed
+        engine).  Must return answers bit-identical to the stdlib
+        backend and raise ``ValueError`` with the same message on an
+        out-of-range vertex."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

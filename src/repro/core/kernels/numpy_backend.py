@@ -7,12 +7,12 @@ stdlib kernels do, whether they live in owned ``array`` storage, an
 answers ``distance_many`` for a whole workload with no Python-level
 inner loop:
 
-* **Group metadata** is derived once per side (cached by the side, like
-  the stdlib directory): flat ``gstart``/``gend``/``ghub`` arrays over
-  all hub groups, a ``goff`` table mapping each vertex to its group
-  range, and a globally sorted ``vertex * stride + hub`` composite-key
-  array — the vectorized stand-in for the stdlib backend's per-vertex
-  hash maps.
+* **Group metadata** is derived once per side, on the first batch that
+  reaches the vectorized path (cached by the side): flat
+  ``gstart``/``gend``/``ghub`` arrays over all hub groups, a ``goff``
+  table mapping each vertex to its group range, and a globally sorted
+  ``vertex * stride + hub`` composite-key array — the vectorized
+  stand-in for the stdlib backend's per-vertex hash maps.
 * **Feasibility** is resolved per *distinct constraint value* and
   cached: entries of a group ascend in quality (Theorem 3), so for a
   scalar ``w`` the first feasible entry of **every** group at once is
@@ -31,6 +31,9 @@ inner loop:
   ``O(min(groups))`` hash probes, for every query at once.
 * **Reduction**: candidate sums scatter into the per-query minimum with
   ``numpy.minimum.at``.
+* **Small batches** — fewer than :data:`_MIN_QUERIES_PER_W` queries
+  per distinct ``w`` — go to the stdlib merge instead, before any of
+  the above is built: per-value work cannot amortize over them.
 
 Answers are bit-identical to the stdlib backend: the same set of
 ``d_s + d_t`` candidates is formed (IEEE-754 double adds of the same
@@ -46,11 +49,12 @@ has confirmed numpy is importable; the dispatch layer raises
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List
 
 import numpy as np
 
-from . import KernelBackend
+from . import KernelBackend, resolve_backend
 
 __all__ = ["NumpyKernelBackend"]
 
@@ -65,11 +69,16 @@ _VALUE_DTYPE = np.float64
 #: slices are evicted first; an oversized slice is used transiently.
 _W_CACHE_BUDGET = 8_000_000
 
-#: The vectorized path sub-batches by distinct constraint value; a batch
-#: whose distinct-``w`` count exceeds ``max(_MAX_DISTINCT_W, Q // 32)``
-#: cannot amortize the per-value slices and is delegated to the stdlib
-#: kernels instead (answers are bit-identical either way).
-_MAX_DISTINCT_W = 64
+#: The vectorized path sub-batches by distinct constraint value, and its
+#: cost grows with the number of values (each one a round of gathers and
+#: a ``searchsorted``), while the stdlib merge costs per query.  A batch
+#: with fewer than this many queries per distinct ``w`` — a small batch,
+#: or one where nearly every query carries its own threshold — is
+#: delegated to the stdlib kernels (answers are bit-identical either
+#: way).  From a sweep of both kernels over 1-10 distinct ``w`` on two
+#: road-grid images (CHANGES.md): from 32 queries per value on, numpy
+#: is never the slower kernel.
+_MIN_QUERIES_PER_W = 32
 
 
 class _WSlice:
@@ -122,7 +131,6 @@ class _NumpySideState:
     """
 
     __slots__ = (
-        "side",
         "dists",
         "quals",
         "num_vertices",
@@ -138,9 +146,6 @@ class _NumpySideState:
     )
 
     def __init__(self, side) -> None:
-        # Back-reference for the high-cardinality stdlib delegation;
-        # the cycle side <-> state is broken by _FlatSide.release().
-        self.side = side
         offsets = np.frombuffer(side.offsets, dtype=_OFFSET_DTYPE)
         hubs = np.frombuffer(side.hubs, dtype=_HUB_DTYPE)
         self.dists = np.frombuffer(side.dists, dtype=_VALUE_DTYPE)
@@ -208,14 +213,21 @@ class NumpyKernelBackend(KernelBackend):
     def prepare_side(self, side) -> _NumpySideState:
         return _NumpySideState(side)
 
-    def batch(self, queries, state_s, state_t, n: int) -> List[float]:
+    def batch(self, queries, side_s, side_t, n: int) -> List[float]:
         if not isinstance(queries, (list, tuple)):
             queries = list(queries)
         if not queries:
             return []
-        triples = np.asarray(queries, dtype=np.float64)
-        if triples.ndim != 2 or triples.shape[1] != 3:
-            raise ValueError("queries must be (s, t, w) triples")
+        if len(queries) < _MIN_QUERIES_PER_W * len({w for _, _, w in queries}):
+            # Too few queries per threshold to amortize the per-value
+            # slices: the stdlib merge answers them, bit for bit, and no
+            # numpy state is built for the sides.
+            return resolve_backend("stdlib").batch(queries, side_s, side_t, n)
+        # Every query unpacked as a triple above, so one flat read lines
+        # up (and is about twice as fast as ``asarray`` on the tuples).
+        triples = np.fromiter(
+            chain.from_iterable(queries), dtype=np.float64, count=3 * len(queries)
+        ).reshape(-1, 3)
         s = triples[:, 0].astype(np.int64)
         t = triples[:, 1].astype(np.int64)
         w = triples[:, 2]
@@ -231,19 +243,8 @@ class NumpyKernelBackend(KernelBackend):
         # slices reduce the merge to expansion + searchsorted + gathers.
         wvals, w_inv = np.unique(w, return_inverse=True)
         w_inv = w_inv.reshape(-1)
-        if wvals.size > max(_MAX_DISTINCT_W, len(queries) // 32):
-            # Nearly every query carries its own threshold: per-value
-            # slices cannot amortize, so hand the batch to the stdlib
-            # merge (same answers, bit for bit).
-            from . import resolve_backend
-
-            stdlib = resolve_backend("stdlib")
-            return stdlib.batch(
-                queries,
-                state_s.side.kernel_state(stdlib),
-                state_t.side.kernel_state(stdlib),
-                n,
-            )
+        state_s = side_s.kernel_state(self)
+        state_t = state_s if side_t is side_s else side_t.kernel_state(self)
         best = np.full(len(queries), np.inf)
         same_side = state_t is state_s
         for i, wv in enumerate(wvals):

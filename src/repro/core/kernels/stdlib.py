@@ -1,11 +1,14 @@
 """The pure-Python flat-layout query kernels — the ``stdlib`` backend.
 
-These are the merge kernels over the frozen group-directory layout (see
-:mod:`repro.core.frozen`): each side supplies a precomputed directory of
-``(hub_rank, start, end)`` triples indexing into that side's global
-``dists``/``quals`` arrays, so the merge visits each hub group in a
-single step and never scans for boundaries.  :func:`batch_merge_flat`
-is the batch hot path shared by every frozen engine.
+These are the merge kernels over the frozen group layout (see
+:mod:`repro.core.frozen`): each side supplies its vertices' hub groups
+— ``(hub_rank, start, end)`` triples, or for the batch kernel an
+ordered ``hub_rank -> (start, end)`` map — indexing into that side's
+global ``dists``/``quals`` arrays, so the merge visits each hub group
+in a single step and never scans for boundaries.  A frozen side builds
+a vertex's groups the first time a query touches it.
+:func:`batch_merge_flat` is the batch hot path shared by every frozen
+engine.
 
 Everything here runs on the standard library alone.  That makes this
 module double as:
@@ -206,26 +209,26 @@ MERGE_KERNELS_FLAT = {
 
 def batch_merge_flat(
     queries,
-    dirs_s: Sequence[Sequence[Tuple[int, int, int]]],
-    maps_s: Sequence[dict],
+    groups_s,
     dists_s,
     quals_s,
-    dirs_t: Sequence[Sequence[Tuple[int, int, int]]],
-    maps_t: Sequence[dict],
+    groups_t,
     dists_t,
     quals_t,
     n: int,
 ) -> List[float]:
     """The stdlib batch hot path shared by every frozen engine.
 
-    ``dirs_s``/``maps_s`` describe the side the query source indexes into
-    (for the undirected and weighted engines both sides are the same
-    directory; the directed engine passes its out-side for ``s`` and its
-    in-side for ``t``).  Per query the *smaller* side's group directory is
-    intersected against the larger side's precomputed
-    ``hub -> (start, end)`` map, so each query costs ``O(min(groups))``
-    hash probes plus the feasibility scans of matched groups — no
-    per-query slicing, list chasing, or ``group_end`` boundary scans.
+    ``groups_s`` maps each source vertex to its ordered ``hub_rank ->
+    (start, end)`` groups, ``groups_t`` each target vertex (the same
+    mapping for the undirected and weighted engines; the directed
+    engine passes its out-side for ``s`` and its in-side for ``t``).
+    A frozen side passes its :class:`~repro.core.frozen._HubGroups`,
+    which builds a vertex's groups the first time a query touches it.
+    Per query the *smaller* side's groups are intersected against the
+    larger side's map, so each query costs ``O(min(groups))`` hash
+    probes plus the feasibility scans of matched groups — no per-query
+    slicing, list chasing, or ``group_end`` boundary scans.
     """
     inf = INF
     results: List[float] = []
@@ -233,23 +236,21 @@ def batch_merge_flat(
     for s, t, w in queries:
         if not 0 <= s < n or not 0 <= t < n:
             raise ValueError(f"query vertex out of range in ({s}, {t})")
-        dir_small = dirs_s[s]
-        dir_other = dirs_t[t]
-        if len(dir_small) <= len(dir_other):
-            lookup = maps_t[t].get
+        small = groups_s[s]
+        large = groups_t[t]
+        if len(small) <= len(large):
             d_small, q_small = dists_s, quals_s
             d_large, q_large = dists_t, quals_t
         else:
-            dir_small = dir_other
-            lookup = maps_s[s].get
+            small, large = large, small
             d_small, q_small = dists_t, quals_t
             d_large, q_large = dists_s, quals_s
+        lookup = large.get
         best = inf
-        for hub, a_start, a_end in dir_small:
+        for hub, (a, a_end) in small.items():
             match = lookup(hub)
             if match is None:
                 continue
-            a = a_start
             while a < a_end and q_small[a] < w:
                 a += 1
             if a < a_end:
@@ -264,41 +265,21 @@ def batch_merge_flat(
     return results
 
 
-class _StdlibSideState:
-    """Per-side state of the stdlib backend: the group directory, the
-    per-vertex ``hub -> (start, end)`` map, and the global value views
-    the batch kernel reads through."""
-
-    __slots__ = ("directory", "hub_map", "dists", "quals")
-
-    def __init__(self, directory, hub_map, dists, quals) -> None:
-        self.directory = directory
-        self.hub_map = hub_map
-        self.dists = dists
-        self.quals = quals
-
-
 class StdlibKernelBackend(KernelBackend):
     """The pure-Python backend: always available, and the correctness
-    oracle for every other backend."""
+    oracle for every other backend.  Its only per-side state is the
+    side's own lazily built hub groups."""
 
     name = "stdlib"
 
-    def prepare_side(self, side) -> _StdlibSideState:
-        return _StdlibSideState(
-            side.directory(), side.hub_map(), side.dists, side.quals
-        )
-
-    def batch(self, queries, state_s, state_t, n: int) -> List[float]:
+    def batch(self, queries, side_s, side_t, n: int) -> List[float]:
         return batch_merge_flat(
             queries,
-            state_s.directory,
-            state_s.hub_map,
-            state_s.dists,
-            state_s.quals,
-            state_t.directory,
-            state_t.hub_map,
-            state_t.dists,
-            state_t.quals,
+            side_s.groups,
+            side_s.dists,
+            side_s.quals,
+            side_t.groups,
+            side_t.dists,
+            side_t.quals,
             n,
         )

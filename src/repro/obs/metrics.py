@@ -56,11 +56,13 @@ __all__ = [
     "histogram_quantile",
 ]
 
-#: Latency buckets in seconds: 50us (the paper's microsecond-scale
-#: query regime) up to 10s (a stuck pool), roughly log-spaced.
+#: Latency buckets in seconds: 5us (an answer-cache hit, the paper's
+#: microsecond-scale query regime) up to 10s (a stuck pool), roughly
+#: log-spaced.
 DEFAULT_LATENCY_BUCKETS = (
-    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+    0.000005, 0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+    2.5, 5.0, 10.0,
 )
 
 #: Power-of-two buckets for coalesced/kernel batch sizes.

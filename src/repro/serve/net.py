@@ -12,11 +12,16 @@ shared-memory :class:`~repro.serve.server.QueryServer` pool behind a
 coalesced into one ``distance_many`` call: the batcher takes the first
 pending request, then keeps absorbing arrivals until the batch reaches
 ``max_batch`` queries or the oldest has waited ``max_wait_us``
-microseconds, whichever first.  The per-query cost of frame handling,
-executor hand-off and kernel entry is amortized over the whole batch —
-exactly the serving shape the paper's batch kernels (and the numpy
-backend's vectorized ``distance_many``) are built for.  ``max_batch=1``
-degenerates to per-request dispatch (the load generator's baseline).
+microseconds, whichever first — unless every open connection already
+has a request in the batch.  Then nobody else can join it, so the
+batcher takes only what is already queued (pipelined frames included)
+and flushes at once: a lone client, or closed-loop clients that have
+all sent, never sit out the window (which the event loop's selector
+would round up to a whole millisecond).  The per-query cost of frame
+handling, executor hand-off and kernel entry is amortized over the
+whole batch — the serving shape the paper's batch kernels are built
+for.  ``max_batch=1`` degenerates to per-request dispatch (the load
+generator's baseline).
 
 **Admission control.**  At most ``max_inflight`` queries may be
 admitted-but-unanswered at once.  A ``QUERY`` that would exceed the
@@ -272,7 +277,8 @@ class NetServer:
         self._queue: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._batcher: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
+        #: Open connections, each with the task serving it.
+        self._connections: dict = {}
         self._running = False
         self._address: Optional[Tuple[str, int]] = None
 
@@ -322,7 +328,7 @@ class NetServer:
             )
         # Open connections would otherwise outlive the loop as orphaned
         # tasks; every pending request already got its typed error.
-        tasks = list(self._conn_tasks)
+        tasks = list(self._connections.values())
         for task in tasks:
             task.cancel()
         if tasks:
@@ -427,8 +433,15 @@ class NetServer:
             stop_after = False
             if self._max_batch > 1:
                 deadline = request.picked_at + self._max_wait
+                members = {request.connection}
                 while total < self._max_batch:
-                    remaining = deadline - loop.time()
+                    # Once every open connection has a request in the
+                    # batch, no new one can join it: take only what is
+                    # already queued, then flush.
+                    if self._connections.keys() <= members:
+                        remaining = 0.0
+                    else:
+                        remaining = deadline - loop.time()
                     try:
                         if remaining <= 0:
                             nxt = self._queue.get_nowait()
@@ -443,6 +456,7 @@ class NetServer:
                         break
                     nxt.picked_at = loop.time()
                     batch.append(nxt)
+                    members.add(nxt.connection)
                     total += len(nxt.queries)
             try:
                 await self._execute(loop, batch)
@@ -554,15 +568,15 @@ class NetServer:
     # Connections / introspection
     # ------------------------------------------------------------------
     async def _on_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+        connection = _Connection(self, reader, writer)
+        self._connections[connection] = asyncio.current_task()
         self.stats.connection_opened()
         try:
-            await _Connection(self, reader, writer).run()
+            await connection.run()
         except asyncio.CancelledError:
             pass  # server shutdown closes the connection
         finally:
-            self._conn_tasks.discard(task)
+            del self._connections[connection]
             self.stats.connection_closed()
 
     def hello_info(self) -> dict:

@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.kernels import resolve_backend
 from ..obs.metrics import BATCH_SIZE_BUCKETS, Histogram
 from .errors import PoolUnavailableError, QueryTimeoutError, ServeError
-from .health import closed_report, epoch_of, pool_report
+from .health import closed_report, pool_report
 from .shm import ShmIndexImage, attach_image
 from .stats import size_summary
 
@@ -71,8 +71,17 @@ __all__ = [
     "ServeError",
 ]
 
-#: How many chunks each worker gets per batch (load-balance granularity).
+#: How many chunks each worker gets per large batch (load-balance
+#: granularity).
 _CHUNKS_PER_WORKER = 4
+
+#: Fewest queries in a chunk cut finer than one per live worker.  Finer
+#: chunks only balance load: each pays a worker round trip, and a small
+#: one falls under the numpy kernel's floor.  In the pool sweep
+#: (CHANGES.md) no batch got faster from chunks under 512 queries, and a
+#: 512-query batch on one worker took 1.6 ms whole against 3.2 ms in
+#: two chunks.
+_MIN_CHUNK = 512
 
 #: Seconds between liveness checks while waiting for batch results —
 #: the ceiling on how long a dead owner's chunk sits before rerouting.
@@ -83,10 +92,6 @@ _MIN_WAIT = 0.005
 
 #: Default redispatch budget per chunk (beyond the initial dispatch).
 _DEFAULT_RETRIES = 2
-
-#: Kept for historical importers; the canonical helper lives in
-#: :mod:`repro.serve.health`.
-_epoch_of = epoch_of
 
 
 def _worker_main(
@@ -458,9 +463,13 @@ class QueryServer:
     ) -> List[float]:
         """Answer a batch of ``(s, t, w)`` queries, preserving order.
 
-        The batch is split into ``chunk_size`` pieces (default: enough
-        for :data:`_CHUNKS_PER_WORKER` chunks per live worker) dealt
-        round-robin over the live workers' task queues.
+        The batch is split into ``chunk_size`` pieces dealt round-robin
+        over the live workers' task queues.  By default it goes out as
+        one chunk per live worker — so on one worker a small batch (a
+        coalesced TCP batch, a burst of cache misses) is one round trip
+        and one kernel call — and is cut finer, up to
+        :data:`_CHUNKS_PER_WORKER` chunks per worker, only while every
+        chunk keeps :data:`_MIN_CHUNK` queries.
 
         ``timeout`` (seconds, default none) deadlines every chunk from
         its dispatch; ``retries`` (default 2) bounds how many times a
@@ -495,8 +504,9 @@ class QueryServer:
                 queries, "no live query workers"
             )
         if chunk_size is None:
-            per_batch = len(live) * _CHUNKS_PER_WORKER
-            chunk_size = max(1, -(-len(queries) // per_batch))
+            per_worker = -(-len(queries) // len(live))
+            finest = -(-per_worker // _CHUNKS_PER_WORKER)
+            chunk_size = max(finest, min(per_worker, _MIN_CHUNK))
         elif chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
 

@@ -151,20 +151,23 @@ class TestStructure:
             )
 
     def test_directory_views_are_lazy(self):
-        # Loading/freezing must stay at raw array speed: the group
-        # directory appears on the first query, the hub map on the
-        # first stdlib batch (other kernel backends build their own
-        # per-side state instead and never touch it).
+        # Loading/freezing must stay at raw array speed: a vertex's hub
+        # groups appear the first time a query touches it, and only
+        # its own (other kernel backends build their own per-side
+        # state instead).
         frozen = build_wc_index_plus(paper_figure3(), "identity").freeze(
             backend="stdlib"
         )
         (side,) = frozen.sides()
-        assert side._directory is None and side._hub_map is None
+        assert not side.groups
         frozen.distance(0, 4, 1.0)
-        assert side._directory is not None
-        assert side._hub_map is None
-        frozen.distance_many([(0, 4, 1.0)])
-        assert side._hub_map is not None
+        assert set(side.groups) == {0, 4}
+        frozen.distance_many([(0, 4, 1.0), (2, 4, 1.0)])
+        assert set(side.groups) == {0, 2, 4}
+        assert side.directory(2) == frozen.group_directory(2)
+        assert sum(len(side.groups[v]) for v in range(frozen.num_vertices)) == (
+            frozen.group_count()
+        )
 
     def test_label_lists_are_views(self):
         frozen = build_wc_index_plus(paper_figure3(), "identity").freeze()

@@ -1,8 +1,9 @@
-"""The pluggable kernel backend layer: dispatch semantics, and the
-numpy backend's bit-identical equivalence with the stdlib oracle across
-all three frozen families, every attach mode, and the edge cases
-(unreachable pairs, infeasible thresholds, empty label sides, the
-high-cardinality-w delegation path)."""
+"""The pluggable kernel backend layer: dispatch semantics, the numpy
+backend's bit-identical equivalence with the stdlib oracle across all
+three frozen families, every attach mode, and the edge cases
+(unreachable pairs, infeasible thresholds, empty label sides), the
+numpy backend's delegation of small batches to stdlib, and the stdlib
+side state built per touched vertex."""
 
 from __future__ import annotations
 
@@ -37,6 +38,23 @@ from repro.graph.generators import gnm_random_graph
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not installed"
 )
+
+
+@pytest.fixture(scope="class")
+def vectorized():
+    """Keep every batch on the numpy backend's vectorized path.
+
+    Small batches (few queries per distinct threshold) are otherwise
+    delegated to stdlib, and the equivalence tests would compare stdlib
+    with itself.  Class-scoped and set by hand, not through
+    ``monkeypatch``, so hypothesis-driven tests can use it.
+    """
+    from repro.core.kernels import numpy_backend
+
+    saved = numpy_backend._MIN_QUERIES_PER_W
+    numpy_backend._MIN_QUERIES_PER_W = 0
+    yield
+    numpy_backend._MIN_QUERIES_PER_W = saved
 
 
 @pytest.fixture
@@ -109,6 +127,7 @@ class TestEngineSelection:
         assert frozen.kernel_backend == default_backend_name()
 
     @needs_numpy
+    @pytest.mark.usefixtures("vectorized")
     def test_select_backend_switches_and_chains(self):
         graph = random_graph(2)
         frozen = build_wc_index_plus(graph, "degree").freeze(
@@ -154,6 +173,7 @@ def assert_backends_agree(index):
 
 
 @needs_numpy
+@pytest.mark.usefixtures("vectorized")
 class TestNumpyEquivalence:
     @settings(max_examples=25)
     @given(quality_graphs())
@@ -200,20 +220,10 @@ class TestNumpyEquivalence:
         with pytest.raises(ValueError, match="out of range"):
             frozen.distance_many([(-1, 0, 1.0)])
 
-    def test_high_cardinality_w_delegates_identically(self):
-        # One distinct threshold per query defeats the per-w slice
-        # cache, so the backend hands the whole batch to stdlib — the
-        # answers must not change.
-        graph = gnm_random_graph(40, 120, seed=11, num_qualities=4)
-        index = build_wc_index_plus(graph, "degree")
-        import random
-
-        rng = random.Random(13)
-        queries = [
-            (rng.randrange(40), rng.randrange(40), 1.0 + rng.random() * 3)
-            for _ in range(300)
-        ]
-        assert len({w for _, _, w in queries}) > 64
+    def test_high_cardinality_w(self):
+        # One distinct threshold per query: one feasibility slice per
+        # query, still bit-identical.
+        queries, index = high_cardinality_batch()
         assert index.freeze(backend="numpy").distance_many(queries) == (
             index.freeze(backend="stdlib").distance_many(queries)
         )
@@ -248,3 +258,123 @@ class TestNumpyEquivalence:
             backend="stdlib"
         ).distance_many(queries)
         engine.release()
+
+
+def high_cardinality_batch():
+    """300 queries over a 40-vertex graph, nearly one threshold each."""
+    import random
+
+    graph = gnm_random_graph(40, 120, seed=11, num_qualities=4)
+    rng = random.Random(13)
+    queries = [
+        (rng.randrange(40), rng.randrange(40), 1.0 + rng.random() * 3)
+        for _ in range(300)
+    ]
+    assert len({w for _, _, w in queries}) > 64
+    return queries, build_wc_index_plus(graph, "degree")
+
+
+@needs_numpy
+class TestSmallBatchDelegation:
+    """Below the floor on queries per distinct threshold, the numpy
+    backend hands the batch to stdlib and builds no numpy state."""
+
+    def floor(self):
+        from repro.core.kernels import numpy_backend
+
+        return numpy_backend._MIN_QUERIES_PER_W
+
+    def test_below_floor_builds_only_stdlib_state(self):
+        index = build_wc_index_plus(random_graph(9), "degree")
+        engine = index.freeze(backend="numpy")
+        (side,) = engine.sides()
+        queries = [(0, 1, 1.0), (1, 0, 2.0)]
+        assert len(queries) < self.floor() * 2
+        assert engine.distance_many(queries) == (
+            index.freeze(backend="stdlib").distance_many(queries)
+        )
+        assert side._kernel_states == {}
+        assert set(side.groups) == {0, 1}
+
+    def test_at_floor_runs_vectorized(self):
+        index = build_wc_index_plus(random_graph(9), "degree")
+        engine = index.freeze(backend="numpy")
+        (side,) = engine.sides()
+        n = index.num_vertices
+        queries = [(v % n, (v * 7) % n, 2.0) for v in range(self.floor())]
+        assert engine.distance_many(queries) == (
+            index.freeze(backend="stdlib").distance_many(queries)
+        )
+        assert set(side._kernel_states) == {"numpy"}
+
+    def test_high_cardinality_w_delegates_identically(self):
+        queries, index = high_cardinality_batch()
+        engine = index.freeze(backend="numpy")
+        assert engine.distance_many(queries) == (
+            index.freeze(backend="stdlib").distance_many(queries)
+        )
+        (side,) = engine.sides()
+        assert side._kernel_states == {}
+
+    def test_out_of_range_below_floor_matches_stdlib_message(self):
+        index = build_wc_index_plus(random_graph(5), "degree")
+        queries = [(0, index.num_vertices, 1.0)]
+        with pytest.raises(ValueError) as stdlib_err:
+            index.freeze(backend="stdlib").distance_many(queries)
+        with pytest.raises(ValueError) as numpy_err:
+            index.freeze(backend="numpy").distance_many(queries)
+        assert str(numpy_err.value) == str(stdlib_err.value)
+
+
+class TestLazyStdlibState:
+    def test_fresh_attach_fills_only_touched_vertices(self):
+        import io
+
+        index = build_wc_index_plus(random_graph(8), "degree")
+        buffer = io.BytesIO()
+        save_frozen(index.freeze(), buffer)
+        engine = attach_frozen(buffer.getvalue(), backend="stdlib")
+        (side,) = engine.sides()
+        assert not side.groups
+        queries = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
+        full = index.freeze(backend="stdlib")
+        everything = all_queries(index.num_vertices, (1.0, 2.0, 3.0))
+        full.distance_many(everything)  # every vertex's groups built
+        assert engine.distance_many(queries) == full.distance_many(queries)
+        assert set(side.groups) == {0, 1, 2}
+        (full_side,) = full.sides()
+        assert all(side.groups[v] == full_side.groups[v] for v in (0, 1, 2))
+        engine.release()
+        assert not side.groups
+
+    def test_concurrent_first_touches_see_whole_groups(self):
+        # Executor threads share one engine: a thread that finds a
+        # vertex's groups must find all of them, even while another
+        # thread is still building that vertex's map.
+        import sys
+        import threading
+
+        index = build_wc_index_plus(gnm_random_graph(60, 240, seed=3), "degree")
+        queries = all_queries(index.num_vertices, (1.0, 2.0, 3.0))
+        expected = index.freeze(backend="stdlib").distance_many(queries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                engine = index.freeze(backend="stdlib")
+                results = [None] * 8
+
+                def run(slot, engine=engine, results=results):
+                    results[slot] = engine.distance_many(queries)
+
+                threads = [
+                    threading.Thread(target=run, args=(slot,)) for slot in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)

@@ -134,7 +134,10 @@ class TestKillRecovery:
         and the batch still answers bit-identically."""
         plan = FaultPlan(kill_after={0: 1})
         with QueryServer(frozen, workers=3, fault_plan=plan) as server:
-            assert server.query_batch(workload, timeout=10.0) == expected
+            # 12 chunks of 13 queries dealt round-robin: slot 0 answers
+            # its first chunk and dies on receiving its second.
+            got = server.query_batch(workload, chunk_size=13, timeout=10.0)
+            assert got == expected
             assert not server.worker_states()[0]["alive"]
 
     def test_supervisor_restores_pool_bit_identical(
@@ -166,9 +169,10 @@ class TestKillRecovery:
         """
         queries = list(random_queries(network, 12, seed=19))
         expected = frozen.distance_many(queries)
-        # 4 workers x 4 chunks is capped by the 12-query batch: with 12
-        # chunks round-robinned, slot 0 gets 3 jobs per batch.
-        plan = FaultPlan(kill_after={0: 3 * 50})
+        # A 12-query batch goes out as one 3-query chunk per worker,
+        # so slot 0 gets one job per batch: dying after 50 jobs kills
+        # it every 50 batches (~40 times over the run).
+        plan = FaultPlan(kill_after={0: 50})
         with QueryServer(
             frozen,
             workers=4,

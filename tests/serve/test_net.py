@@ -61,6 +61,34 @@ def client(front):
         yield c
 
 
+def raw_connection(front):
+    sock = socket.create_connection(front.address, timeout=5.0)
+    sock.settimeout(5.0)
+    return sock
+
+
+def wait_for_connections(front, count):
+    """Until the server has registered ``count`` open connections."""
+    deadline = time.monotonic() + 5.0
+    while front.health_report()["connections"] < count:
+        assert time.monotonic() < deadline, "connections never registered"
+        time.sleep(0.005)
+
+
+def read_answers(sock, count):
+    """``request_id -> answers`` of the next ``count`` ANSWER frames."""
+    decoder = protocol.FrameDecoder()
+    answers = {}
+    while len(answers) < count:
+        data = sock.recv(65536)
+        assert data, "connection closed before every answer arrived"
+        for frame in decoder.feed(data):
+            assert frame.msg_type == protocol.MSG_ANSWER
+            request_id, values = protocol.decode_answer(frame.payload)
+            answers[request_id] = values
+    return answers
+
+
 class TestBitIdentity:
     def test_undirected(self, client, frozen, workload):
         assert client.distance_many(workload) == frozen.distance_many(workload)
@@ -147,6 +175,70 @@ class TestMicroBatching:
         assert batches["batches"] < 8 * len(workload)
         assert batches["mean_size"] > 1.0
         assert report["queries"]["answered"] == 8 * len(workload)
+
+    def test_lone_connection_skips_the_batching_window(self, frozen, workload):
+        # With every open connection already in the batch nobody can
+        # join it, so a 2 s window is never waited out.
+        with NetServerThread(
+            InProcessClient(frozen), max_wait_us=2_000_000
+        ) as front:
+            with NetClient(*front.address) as client:
+                for at in range(0, 48, 16):
+                    batch = workload[at:at + 16]
+                    started = time.monotonic()
+                    assert client.distance_many(batch) == (
+                        frozen.distance_many(batch)
+                    )
+                    assert time.monotonic() - started < 0.5
+
+    def test_waits_for_every_open_connection(self, frozen, workload):
+        # Two connections, one frame each: the first frame waits for
+        # the second (not for the 2 s window), and both are answered
+        # by one backend call.
+        with NetServerThread(
+            InProcessClient(frozen), max_wait_us=2_000_000
+        ) as front:
+            socks = [raw_connection(front) for _ in range(2)]
+            try:
+                wait_for_connections(front, 2)
+                started = time.monotonic()
+                for rid, sock in enumerate(socks):
+                    sock.sendall(protocol.encode_query(rid, workload[:16]))
+                answers = [read_answers(sock, 1) for sock in socks]
+                elapsed = time.monotonic() - started
+            finally:
+                for sock in socks:
+                    sock.close()
+            report = front.health_report()
+        expected = frozen.distance_many(workload[:16])
+        assert answers == [{0: expected}, {1: expected}]
+        assert elapsed < 0.5
+        assert report["batch_sizes"]["batches"] == 1
+        assert report["batch_sizes"]["mean_size"] == 32
+
+    def test_pipelined_frames_from_one_connection_coalesce(
+        self, frozen, workload
+    ):
+        # Frames already queued when the batcher runs join its batch,
+        # even though their connection is the only one open.
+        with NetServerThread(InProcessClient(frozen)) as front:
+            sock = raw_connection(front)
+            try:
+                sock.sendall(
+                    b"".join(
+                        protocol.encode_query(rid, workload[rid * 8:rid * 8 + 8])
+                        for rid in range(4)
+                    )
+                )
+                answers = read_answers(sock, 4)
+            finally:
+                sock.close()
+            report = front.health_report()
+        assert answers == {
+            rid: frozen.distance_many(workload[rid * 8:rid * 8 + 8])
+            for rid in range(4)
+        }
+        assert report["batch_sizes"]["mean_size"] > 8
 
     def test_per_request_dispatch_mode(self, frozen, workload):
         # max_batch=1 disables cross-request coalescing: single-query

@@ -74,6 +74,27 @@ class TestQueryServer:
             with pytest.raises(ValueError, match="chunk_size"):
                 server.query_batch(workload, chunk_size=0)
 
+    def test_small_batch_is_one_chunk(self, frozen, workload):
+        # A 32-query batch on one worker is one job, not four 8-query
+        # ones: each chunk would pay a worker round trip.
+        with QueryServer(frozen, workers=1) as server:
+            batch = workload[:32]
+            assert server.query_batch(batch) == frozen.distance_many(batch)
+            assert server.dispatch_snapshot()["chunks"] == 1
+
+    def test_batch_goes_out_one_chunk_per_worker(self, frozen, workload):
+        # 400 queries on 2 workers: one 200-query chunk each; chunks
+        # that small are not cut finer.
+        with QueryServer(frozen, workers=2) as server:
+            assert server.query_batch(workload) == frozen.distance_many(workload)
+            assert server.dispatch_snapshot()["chunks"] == 2
+
+    def test_large_batch_still_gets_four_chunks_per_worker(self, network, frozen):
+        queries = list(random_queries(network, 2048, seed=4))
+        with QueryServer(frozen, workers=1) as server:
+            assert server.query_batch(queries) == frozen.distance_many(queries)
+            assert server.dispatch_snapshot()["chunks"] == 4
+
     def test_serves_from_a_wcxb_path(self, tmp_path, frozen, workload):
         path = tmp_path / "net.wcxb"
         save_frozen(frozen, path)

@@ -176,6 +176,15 @@ class TestServerStats:
         assert latency["p50_bounds_ms"] == pytest.approx([1.0, 2.5])
         assert latency["p99_bounds_ms"] == pytest.approx([2.5, 5.0])
 
+    def test_cache_hit_latency_resolves_below_50us(self):
+        # An answer-cache hit takes ~10 us; the buckets must place it
+        # more tightly than the old [0, 0.05] ms floor bucket did.
+        stats = ServerStats()
+        stats.answer(1, 10e-6)
+        lo, hi = stats.snapshot()["latency"]["p50_bounds_ms"]
+        assert lo <= 0.010 <= hi
+        assert hi - lo < 0.05
+
     def test_empty_snapshot_is_nan_without_bounds(self):
         latency = ServerStats().snapshot()["latency"]
         assert latency["count"] == 0
