@@ -53,7 +53,7 @@ def main() -> None:
     # storage: same answers, contiguous memory, a precomputed hub-group
     # directory, and a fast batch path.  (The CLI equivalent is
     # `python -m repro build --out net.wcxb` then
-    # `python -m repro query --engine frozen --index net.wcxb ...`.)
+    # `python -m repro query --index net.wcxb ...`.)
     frozen = index.freeze()
     print(f"frozen: {frozen}")
     batch = frozen.distance_many([(0, 4, 1.0), (0, 4, 2.0), (0, 4, 99.0)])

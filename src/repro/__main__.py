@@ -2,16 +2,18 @@
 
 Subcommands:
 
-* ``build``   — build a WC-INDEX from an edge-list file and save it
-  (``--out x.wcxb`` writes the compact binary frozen format;
-  ``--directed`` / ``--weighted`` build the Section V extension indexes,
-  which persist through the variant-tagged binary format).
+* ``build``   — build a WC-INDEX from an edge-list file and save it as a
+  ``.wcxb`` v3 image, the one index file format (``--directed`` /
+  ``--weighted`` build the Section V extension indexes; the image's
+  variant tag records the family).  Every command that reads an index
+  recognises the image by its magic bytes, whatever the file is named,
+  and exits with a clean error on any other file.
 * ``query``   — answer ``s t w`` queries (arguments or stdin) from a saved
-  index; ``--engine {list,frozen,mmap}`` picks the storage engine (the
-  list-backed merge, the flat-array frozen engine of whatever family
-  the index holds, or the frozen engine attached zero-copy to an mmap
-  of a ``.wcxb`` v3 image); ``--kernel {auto,stdlib,numpy}`` picks the
-  frozen engines' batch kernel backend (also on ``serve``).
+  index; ``--engine {frozen,mmap}`` picks the storage behind the frozen
+  engine of whatever family the image holds (owned arrays read from the
+  file, or zero-copy views over an mmap of it); ``--kernel
+  {auto,stdlib,numpy}`` picks the batch kernel backend (also on
+  ``serve``).
 * ``serve``   — answer the same queries through a shared-memory
   multi-process worker pool (``--workers``): one frozen image published
   in ``multiprocessing.shared_memory``, N processes answering batches
@@ -39,9 +41,9 @@ Subcommands:
   the queries through a worker pool across the epoch swap (old
   generation before the updates, new generation after).
 * ``profile`` — print the full quality/distance Pareto staircase of a pair.
-* ``stats``   — index statistics (entries, max label, modelled bytes; adds
-  the real frozen footprint, format version and per-section byte sizes
-  for ``.wcxb`` v3 images — a v1/v2 image fails with a format error).
+* ``stats``   — index statistics (entries, max label, modelled bytes, the
+  real frozen footprint, format version and per-section byte sizes; a
+  v1/v2 image fails with a format error).
 * ``verify``  — check a saved index against its graph (small graphs).
 
 Example::
@@ -71,12 +73,7 @@ from .core.kernels import (
 )
 from .core.labels import WCIndex
 from .core.profile import distance_profile
-from .core.serialize import (
-    is_binary_index_path,
-    load_frozen,
-    load_index,
-    save_index,
-)
+from .core.serialize import IndexFormatError, load_frozen, save_frozen
 from .core.validation import verify_index
 from .core.weighted import WeightedWCIndex
 from .graph.io import (
@@ -94,26 +91,6 @@ def _resolve_kernel(spec, command: str) -> str:
         return resolve_backend(spec).name
     except KernelUnavailableError as exc:
         raise SystemExit(f"{command}: {exc}") from None
-
-
-def _load_engine(path: str, engine: str, kernel=None):
-    """Load ``path`` as the requested query engine.
-
-    A thin shim over :func:`repro.open_index` translating the CLI's
-    ``--engine {list,frozen,mmap}`` vocabulary (``mmap`` is the frozen
-    engine over ``mode="mmap"`` storage) and turning dispatch errors
-    into clean exits.  ``kernel`` pins the frozen engines' batch
-    backend (the list engine has no backend and ignores it).
-    """
-    from . import open_index
-
-    mode = "mmap" if engine == "mmap" else "read"
-    if engine == "mmap":
-        engine = "frozen"
-    try:
-        return open_index(path, engine=engine, mode=mode, backend=kernel)
-    except ValueError as exc:
-        raise SystemExit(f"query: {exc}") from None
 
 
 def _build_graph(args):
@@ -139,11 +116,6 @@ def _cmd_build(args) -> int:
         raise SystemExit("build: give exactly one of --graph or --dataset")
     if args.directed and args.weighted:
         raise SystemExit("build: --directed and --weighted are exclusive")
-    if (args.directed or args.weighted) and not is_binary_index_path(args.out):
-        raise SystemExit(
-            "build: directed/weighted indexes persist in the binary "
-            "frozen format; use a .wcxb --out"
-        )
     graph = _build_graph(args)
     started = time.perf_counter()
     if args.directed:
@@ -158,10 +130,9 @@ def _cmd_build(args) -> int:
             track_parents=args.paths,
         )
         index = builder.build()
-    if args.engine == "frozen" or is_binary_index_path(args.out):
-        index = index.freeze()
+    index = index.freeze()
     elapsed = time.perf_counter() - started
-    save_index(index, args.out)
+    save_frozen(index, args.out)
     print(
         f"built {index.entry_count()} entries over {graph.num_vertices} "
         f"vertices in {elapsed:.2f}s -> {args.out}"
@@ -218,41 +189,27 @@ def _add_cache_flags(parser) -> None:
         "quality-bucket-quantized queries, invalidated precisely from "
         "the update journal (0 disables; default 65536)",
     )
-    parser.add_argument(
-        "--cache-off",
-        action="store_true",
-        help="disable the answer cache (same as --cache-entries 0)",
-    )
-
-
-def _cache_entries(args) -> int:
-    """The effective answer-cache capacity a command runs with
-    (``0`` = caching off)."""
-    if args.cache_off:
-        return 0
-    return args.cache_entries
 
 
 def _cache_for(path: str, entries: int):
-    """An :class:`~repro.serve.cache.AnswerCache` keyed from the index
+    """An :class:`~repro.serve.cache.AnswerCache` keyed from the image
     at ``path`` (the keyer needs label access the shm pool does not
-    expose; binary images read-load, text indexes load the list engine
-    directly)."""
+    expose, so the image is read-loaded here)."""
     from .serve import AnswerCache
 
-    engine = (
-        load_frozen(path) if is_binary_index_path(path) else load_index(path)
-    )
-    return AnswerCache(engine, entries=entries)
+    return AnswerCache(load_frozen(path), entries=entries)
 
 
 def _cmd_query(args) -> int:
+    from . import open_index
+
     kernel = _resolve_kernel(args.kernel, "query")
-    index = _load_engine(args.index, args.engine, kernel)
+    mode = "mmap" if args.engine == "mmap" else "read"
+    index = open_index(args.index, mode=mode, backend=kernel)
     # Batch through distance_many so stdin workloads hit the engines'
     # batch hot path (the frozen engine's hash-intersection merge).
     queries = _read_queries(args)
-    entries = _cache_entries(args)
+    entries = args.cache_entries
     if entries:
         from .serve import AnswerCache, CachingClient, InProcessClient
 
@@ -328,7 +285,7 @@ def _serve_listen(args, kernel: str) -> int:
         backend = PoolClient(
             server, timeout=args.query_timeout, retries=args.retries
         )
-        cache_entries = _cache_entries(args)
+        cache_entries = args.cache_entries
         if cache_entries:
             # Attaching the cache to the server wires swap_image
             # invalidation; the wrapper puts it in front of the pool.
@@ -453,7 +410,7 @@ def _cmd_serve(args) -> int:
         # The chaos self-test must drive the pool itself every round —
         # a cache would answer the replays locally and prove nothing
         # about the respawn — so caching only arms the plain path.
-        cache_entries = 0 if args.chaos_kill else _cache_entries(args)
+        cache_entries = 0 if args.chaos_kill else args.cache_entries
         if cache_entries:
             from .serve import CachingClient, PoolClient
 
@@ -702,10 +659,6 @@ def _write_graph_back(graph, path: str) -> None:
 def _cmd_update(args) -> int:
     from .live import apply_image_update, live_index, read_mutations, refreeze
 
-    if not is_binary_index_path(args.index):
-        raise SystemExit(
-            f"update: --index must be a binary .wcxb image, got {args.index!r}"
-        )
     if args.pool and not args.query:
         raise SystemExit("update: --pool needs queries ('s t w' or '-')")
     if args.query and not args.pool:
@@ -767,7 +720,7 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    index = load_index(args.index)
+    index = load_frozen(args.index).thaw()
     if isinstance(index, WeightedWCIndex):
         raise SystemExit(
             "profile: quality/distance profiles are not supported for "
@@ -793,49 +746,45 @@ def _cmd_stats(args) -> int:
 
     from . import open_index
 
-    # A .wcxb is reported straight from the frozen engine — no thaw, so
-    # stats on a large serving index stays as cheap as loading it.
-    is_binary = is_binary_index_path(args.index)
+    # Reported straight from the frozen engine — no thaw, so stats on a
+    # large serving index stays as cheap as loading it.
     index = open_index(args.index)
-    described = describe_frozen(args.index) if is_binary else None
-    if is_binary:
-        print(f"engine:          {type(index).__name__}")
-        print(
-            f"format:          wcxb v{described['format_version']} "
-            f"({described['variant']})"
-        )
-        print(
-            f"kernel backend:  {index.kernel_backend} "
-            f"(available: {', '.join(described['kernel_backends'])})"
-        )
+    described = describe_frozen(args.index)
+    print(f"engine:          {type(index).__name__}")
+    print(
+        f"format:          wcxb v{described['format_version']} "
+        f"({described['variant']})"
+    )
+    print(
+        f"kernel backend:  {index.kernel_backend} "
+        f"(available: {', '.join(described['kernel_backends'])})"
+    )
     print(f"vertices:        {index.num_vertices}")
     print(f"entries:         {index.entry_count()}")
     print(f"max label size:  {index.max_label_size()}")
     if index.num_vertices:
         print(f"avg label size:  {index.entry_count() / index.num_vertices:.2f}")
     print(f"modelled bytes:  {BYTES_PER_ENTRY * index.entry_count()}")
-    if is_binary:
-        print(f"frozen bytes:    {index.nbytes()}")
-        print(f"image bytes:     {described['total_bytes']}")
+    print(f"frozen bytes:    {index.nbytes()}")
+    print(f"image bytes:     {described['total_bytes']}")
     print(f"tracks parents:  {index.tracks_parents}")
-    if is_binary:
-        print("sections:")
-        for section in described["sections"]:
-            print(
-                f"  {section['name']:<15} {section['nbytes']:>10} bytes "
-                f"at {section['offset']}"
-            )
-        for delta in described["deltas"]:
-            print(
-                f"  delta ({delta['num_dirty']} dirty) "
-                f"{delta['nbytes']:>10} bytes at {delta['offset']}"
-            )
+    print("sections:")
+    for section in described["sections"]:
+        print(
+            f"  {section['name']:<15} {section['nbytes']:>10} bytes "
+            f"at {section['offset']}"
+        )
+    for delta in described["deltas"]:
+        print(
+            f"  delta ({delta['num_dirty']} dirty) "
+            f"{delta['nbytes']:>10} bytes at {delta['offset']}"
+        )
     return 0
 
 
 def _cmd_verify(args) -> int:
     graph = read_edge_list(args.graph)
-    index = load_index(args.index)
+    index = load_frozen(args.index).thaw()
     if not isinstance(index, WCIndex):
         raise SystemExit(
             f"verify: only undirected indexes are supported, "
@@ -863,7 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="a synthetic suite dataset name (e.g. CAL, EU) instead of a file; "
         "scaled by REPRO_SCALE",
     )
-    p_build.add_argument("--out", required=True, help="output index path (.wci[.gz])")
+    p_build.add_argument(
+        "--out", required=True, help="output .wcxb image path"
+    )
     p_build.add_argument(
         "--ordering",
         default="hybrid",
@@ -879,22 +830,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--directed",
         action="store_true",
         help="build a DirectedWCIndex over 'u v quality' arcs "
-        "(requires a .wcxb --out; --ordering/--kernel apply to "
-        "undirected builds only)",
+        "(--ordering/--kernel apply to undirected builds only)",
     )
     p_build.add_argument(
         "--weighted",
         action="store_true",
         help="build a WeightedWCIndex over 'u v length quality' edges "
-        "(requires a .wcxb --out; --ordering/--kernel apply to "
-        "undirected builds only)",
-    )
-    p_build.add_argument(
-        "--engine",
-        default="list",
-        choices=["list", "frozen"],
-        help="freeze the built index into flat-array storage before saving "
-        "(implied by a .wcxb --out)",
+        "(--ordering/--kernel apply to undirected builds only)",
     )
     p_build.set_defaults(func=_cmd_build)
 
@@ -902,20 +844,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--index", required=True)
     p_query.add_argument(
         "--engine",
-        default="list",
-        choices=["list", "frozen", "mmap"],
-        help="query engine: list-backed merge, the flat-array frozen "
-        "engine (works for all index families a .wcxb may hold), or the "
-        "frozen engine attached zero-copy to an mmap of a .wcxb v3 image",
+        default="frozen",
+        choices=["frozen", "mmap"],
+        help="storage behind the frozen engine: arrays read from the "
+        "image (frozen), or zero-copy views over an mmap of it (mmap)",
     )
     p_query.add_argument(
         "--kernel",
         default="auto",
         choices=list(BACKEND_CHOICES),
-        help="batch kernel backend of the frozen/mmap engines: auto "
-        "picks numpy when installed, else the pure-Python stdlib "
-        "backend; an explicit unavailable choice fails fast (the list "
-        "engine has no backend and ignores this)",
+        help="batch kernel backend: auto picks numpy when installed, "
+        "else the pure-Python stdlib backend; an explicit unavailable "
+        "choice fails fast",
     )
     _add_cache_flags(p_query)
     p_query.add_argument(
@@ -1291,12 +1231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser(
         "stats",
-        help="index statistics (.wcxb: v3 images only; v1/v2 are rejected)",
+        help="index statistics (v3 images only; v1/v2 are rejected)",
     )
     p_stats.add_argument(
         "--index",
         required=True,
-        help="text index, or .wcxb v3 image (reports the layout and delta chain)",
+        help=".wcxb v3 image (reports the layout and delta chain)",
     )
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -1311,7 +1251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IndexFormatError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

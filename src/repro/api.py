@@ -1,109 +1,70 @@
 """The unified index-opening entry point: :func:`open_index`.
 
-Four loaders grew organically as the storage engines did —
-:func:`~repro.core.serialize.load_index` (text, list-backed),
-:func:`~repro.core.serialize.load_frozen` (binary, read or mmap),
-:func:`~repro.core.serialize.attach_frozen` (any buffer) and
-:func:`~repro.serve.shm.attach_image` (a published shared-memory
-segment).  :func:`open_index` is the one documented front door over
-all of them: say *what* you want (``engine``), *how* it should be
-backed (``mode``) and *which kernel* should answer (``backend``), and
-the right loader is dispatched.  The CLI ``query`` / ``stats`` /
-``serve`` commands all route through it; the old loaders stay public
-and unchanged underneath.
+A saved index is one ``.wcxb`` v3 image (:mod:`repro.core.serialize`),
+and it can back a frozen engine three ways: copied out of a file
+(:func:`~repro.core.serialize.load_frozen`), attached zero-copy to an
+mmap of the file or to any buffer
+(:func:`~repro.core.serialize.attach_frozen`), or attached to a
+published shared-memory segment (:func:`~repro.serve.shm.attach_image`).
+:func:`open_index` is the one front door over all of them: say *how*
+the engine should be backed (``mode``) and *which kernel* should answer
+(``backend``).  It always returns the frozen engine of the family the
+image holds; ``.thaw()`` gives the list-backed engine.  The CLI
+``query`` / ``stats`` / ``serve`` commands all route through it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .core.serialize import is_binary_index_path, load_frozen, load_index
+from .core.serialize import load_frozen
 
 __all__ = ["open_index"]
 
-_ENGINES = ("auto", "list", "frozen")
 _MODES = ("read", "mmap", "shm", "attach")
 
 
-def open_index(
-    source,
-    *,
-    engine: str = "auto",
-    mode: str = "read",
-    backend="auto",
-):
-    """Open ``source`` as a query engine — any format, any storage mode.
+def open_index(source, *, mode: str = "read", backend="auto"):
+    """Open ``source`` as a frozen query engine.
 
-    ``source`` is a path (text ``.wci[.gz]`` or binary ``.wcxb``), a
-    shared-memory segment name (``mode="shm"``), or a buffer exporting
-    the v3 image bytes (``mode="attach"``).
+    ``source`` is a path to a ``.wcxb`` v3 image (any file name: the
+    format is recognised by its magic bytes), a shared-memory segment
+    name (``mode="shm"``), or a buffer exporting the image bytes
+    (``mode="attach"``).  A file that is not a v3 image raises
+    :class:`~repro.core.serialize.IndexFormatError`.
 
-    ``engine`` picks the answering engine:
-
-    * ``"auto"`` (default) — the natural engine of the source: frozen
-      for binary images, list-backed for text indexes.
-    * ``"frozen"`` — the flat-array engine (text indexes are frozen
-      after loading).
-    * ``"list"`` — the list-backed engine (binary images are thawed).
-
-    ``mode`` picks the storage behind a frozen engine:
+    ``mode`` picks the storage behind the engine:
 
     * ``"read"`` (default) — sections copied into owned arrays.
-    * ``"mmap"`` — zero-copy typed views over an mmap of a ``.wcxb``
-      v3 file (`load_frozen(mode="mmap")`).
+    * ``"mmap"`` — zero-copy typed views over an mmap of the file
+      (``load_frozen(mode="mmap")``).
     * ``"shm"`` — attach to a published shared-memory segment by name
       (:func:`~repro.serve.shm.attach_image`); returns the engine, and
       closing/releasing it detaches the segment.
     * ``"attach"`` — zero-copy attach to a buffer already in memory
       (:func:`~repro.core.serialize.attach_frozen`).
 
-    ``backend`` selects the batch-kernel backend of frozen engines
-    (``"auto"`` / ``"stdlib"`` / ``"numpy"``; the list engine has no
-    backend and ignores it).  Every returned object answers
-    ``distance`` / ``distance_many`` identically — engine and mode are
+    ``backend`` selects the batch-kernel backend (``"auto"`` /
+    ``"stdlib"`` / ``"numpy"``).  Every returned engine answers
+    ``distance`` / ``distance_many`` identically — mode and backend are
     performance choices, never answer changes.
     """
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; use one of {', '.join(_ENGINES)}"
-        )
     if mode not in _MODES:
         raise ValueError(
             f"unknown mode {mode!r}; use one of {', '.join(_MODES)}"
         )
-    if engine == "list" and mode != "read":
-        raise ValueError(
-            f"the list engine has no {mode!r} storage; it only supports "
-            f"mode='read'"
-        )
-
     if mode == "shm":
         return _attach_shm(source, backend)
     if mode == "attach":
         from .core.serialize import attach_frozen
 
         return attach_frozen(source, backend=backend)
-
     if not isinstance(source, (str, Path)):
         raise TypeError(
             f"mode={mode!r} opens a path; got {type(source).__name__} "
             f"(buffers need mode='attach', segment names mode='shm')"
         )
-
-    if is_binary_index_path(source):
-        if mode == "mmap":
-            frozen = load_frozen(source, mode="mmap", backend=backend)
-        else:
-            frozen = load_frozen(source, backend=backend)
-        return frozen.thaw() if engine == "list" else frozen
-    # Text index: list-backed by nature.
-    if mode == "mmap":
-        raise ValueError(
-            f"mode='mmap' needs a binary .wcxb image, got {str(source)!r}; "
-            f"save the index to a .wcxb path first"
-        )
-    index = load_index(source)
-    return index.freeze(backend=backend) if engine == "frozen" else index
+    return load_frozen(source, mode=mode, backend=backend)
 
 
 class _ShmEngine:

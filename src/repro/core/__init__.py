@@ -81,11 +81,8 @@ from .serialize import (
     IndexFormatError,
     attach_frozen,
     describe_frozen,
-    is_binary_index_path,
     load_frozen,
-    load_index,
     save_frozen,
-    save_index,
 )
 from .validation import (
     IndexReport,
@@ -123,13 +120,10 @@ __all__ = [
     "bottleneck_quality",
     "widest_path_quality",
     "profile_is_staircase",
-    "save_index",
-    "load_index",
     "save_frozen",
     "load_frozen",
     "attach_frozen",
     "describe_frozen",
-    "is_binary_index_path",
     "IndexFormatError",
     "IndexStatistics",
     "collect_statistics",

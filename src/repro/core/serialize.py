@@ -1,33 +1,16 @@
-"""WC-INDEX serialization.
+"""WC-INDEX serialization: the ``.wcxb`` image.
 
 A built index is expensive (it is the whole point of an index) so it must
-be persistable.  Two formats exist, selected by file suffix:
-
-**Text** (``.wci``, gzip-compressed when the path ends in ``.gz``) — a
-line-oriented, diffable format:
-
-.. code-block:: text
-
-    WCINDEX 1 <num_vertices> <tracks_parents>
-    O <order: n space-separated vertex ids>
-    V <vertex> <entry count>
-    E <hub_rank> <dist> <quality> [<parent>]
-    ...
-
-Qualities serialize via ``repr(float)`` (round-trip exact, including
-``inf``).  The reader is strict, reports line numbers on malformed input
-(mirroring :mod:`repro.graph.io`), and rejects trailing garbage after the
-last vertex block.
-
-**Binary** (``.wcxb``) — the servable memory image of a frozen index.
-Version 3 lays the file out so a server can *attach* to it instead of
-parsing it: a fixed little-endian header carrying a **variant tag**
-(undirected / directed / weighted), followed by a **size-stamped section
-table** (one ``(absolute byte offset, byte size)`` int64 pair per array
-section), followed by the raw little-endian arrays, every section padded
-to an **8-byte-aligned** offset.  Every family is the one two-sided
-:class:`~repro.core.frozen.FrozenIndex` engine, so one layout rule
-covers all three: ``order``, then each label side of
+be persistable.  There is one on-disk format, the servable memory image
+of a frozen index, recognised by its ``WCXB`` magic bytes — never by the
+file name.  Version 3 lays the file out so a server can *attach* to it
+instead of parsing it: a fixed little-endian header carrying a **variant
+tag** (undirected / directed / weighted), followed by a **size-stamped
+section table** (one ``(absolute byte offset, byte size)`` int64 pair per
+array section), followed by the raw little-endian arrays, every section
+padded to an **8-byte-aligned** offset.  Every family is the one
+two-sided :class:`~repro.core.frozen.FrozenIndex` engine, so one layout
+rule covers all three: ``order``, then each label side of
 ``engine.sides()`` in file order — ``offsets, hubs, dists, quals`` and,
 when the parents flag is set, the family's parent columns:
 
@@ -53,18 +36,18 @@ unstamped) layouts raise :class:`IndexFormatError` naming the version.
 :func:`append_delta` appends ``WCXD`` delta blobs — per-batch dirty-vertex
 label replacements, laid out per side like the base image — that the
 loaders splice back in.
-:func:`save_index` / :func:`load_index` dispatch on the suffix
-(case-insensitive); :func:`save_frozen` / :func:`load_frozen` are the
-direct binary entry points (``load_frozen`` returns the family's frozen
-engine — :class:`FrozenWCIndex`, :class:`FrozenDirectedWCIndex` or
-:class:`FrozenWeightedWCIndex` — without thawing).
+:func:`save_frozen` / :func:`load_frozen` are the entry points
+(``load_frozen`` returns the family's frozen engine —
+:class:`FrozenWCIndex`, :class:`FrozenDirectedWCIndex` or
+:class:`FrozenWeightedWCIndex`; call ``.thaw()`` on it for the list
+engine).  Any other file — including the retired line-oriented text
+format — raises :class:`IndexFormatError` (``bad binary magic``).
 :func:`describe_frozen` reports the header and per-section byte layout
 without constructing an engine.
 """
 
 from __future__ import annotations
 
-import gzip
 import io
 import mmap
 import os
@@ -72,7 +55,7 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import BinaryIO, List, Optional, TextIO, Union
+from typing import BinaryIO, List, Optional, Union
 
 from .frozen import (
     ENGINES,
@@ -80,20 +63,14 @@ from .frozen import (
     HUB_TYPECODE,
     OFFSET_TYPECODE,
     VALUE_TYPECODE,
-    FrozenWCIndex,
     _FlatSide,
     splice_label_side,
 )
 from .kernels import available_backends
-from .labels import WCIndex
 
 PathLike = Union[str, Path]
-MAGIC = "WCINDEX"
-VERSION = 1
-
 BINARY_MAGIC = b"WCXB"
 BINARY_VERSION = 3
-BINARY_SUFFIX = ".wcxb"
 _BINARY_PREFIX = struct.Struct("<4sH")  # magic, version
 #: v3 header: magic, version, variant, flags, section count, n.
 _BINARY_HEADER = struct.Struct("<4sHHHHq")
@@ -144,17 +121,6 @@ def _layout(family, with_parents: bool, head: str, counts: str) -> list:
     ]
 
 
-def is_binary_index_path(path: PathLike) -> bool:
-    """Whether ``path`` selects the binary frozen format.
-
-    The suffix check is case-insensitive — ``INDEX.WCXB`` is the same
-    format as ``index.wcxb`` (files shuttled through case-normalizing
-    filesystems used to fall through to the text loader and die with a
-    confusing parse error).
-    """
-    return Path(path).suffix.lower() == BINARY_SUFFIX
-
-
 class IndexFormatError(ValueError):
     """A serialized index could not be parsed.
 
@@ -168,167 +134,8 @@ class IndexFormatError(ValueError):
     recoverable_size: Optional[int] = None
 
 
-def _open_write(destination: PathLike) -> TextIO:
-    path = Path(destination)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "wb"), encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
-
-
-def _open_read(source: PathLike) -> TextIO:
-    path = Path(source)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
-def _require_text_serializable(index) -> None:
-    if not isinstance(index, (WCIndex, FrozenWCIndex)):
-        raise ValueError(
-            f"the text index format holds only the undirected family; "
-            f"save {type(index).__name__} to a .wcxb path instead"
-        )
-
-
-def save_index(index, destination: Union[PathLike, TextIO]) -> None:
-    """Write ``index`` to ``destination`` (path or open text handle).
-
-    Accepts both the list-backed :class:`WCIndex` and a
-    :class:`FrozenWCIndex`; a path ending in ``.wcxb`` (case-insensitive)
-    selects the binary frozen format — which also covers the directed and
-    weighted families — anything else the text format (undirected only).
-    """
-    if isinstance(destination, (str, Path)):
-        if is_binary_index_path(destination):
-            save_frozen(index, destination)
-            return
-        # Reject before _open_write: opening first would truncate an
-        # existing index file and leave an empty .wci on the error path.
-        _require_text_serializable(index)
-        with _open_write(destination) as handle:
-            save_index(index, handle)
-        return
-    _require_text_serializable(index)
-    out = destination
-    n = index.num_vertices
-    tracks = 1 if index.tracks_parents else 0
-    out.write(f"{MAGIC} {VERSION} {n} {tracks}\n")
-    out.write("O " + " ".join(str(v) for v in index.order) + "\n")
-    for v in range(n):
-        hubs, dists, quals = index.label_lists(v)
-        parents = index.parent_list(v) if index.tracks_parents else None
-        out.write(f"V {v} {len(hubs)}\n")
-        for i in range(len(hubs)):
-            line = f"E {hubs[i]} {dists[i]!r} {quals[i]!r}"
-            if parents is not None:
-                line += f" {parents[i]}"
-            out.write(line + "\n")
-
-
-def load_index(source: Union[PathLike, TextIO]) -> WCIndex:
-    """Read an index written by :func:`save_index`.
-
-    Returns a list-backed index; a ``.wcxb`` path (case-insensitive) is
-    loaded through the binary reader and thawed into the list engine of
-    whatever family its variant tag names (use :func:`load_frozen` to
-    keep the frozen engine).
-    """
-    if isinstance(source, (str, Path)):
-        if is_binary_index_path(source):
-            return load_frozen(source).thaw()
-        with _open_read(source) as handle:
-            return load_index(handle)
-
-    lines = source
-    header = next(iter_nonempty(lines, start=1), None)
-    if header is None:
-        raise IndexFormatError("empty index file")
-    lineno, text = header
-    parts = text.split()
-    if len(parts) != 4 or parts[0] != MAGIC:
-        raise IndexFormatError(f"line {lineno}: bad header {text!r}")
-    try:
-        version, n, tracks = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise IndexFormatError(f"line {lineno}: bad header numbers") from exc
-    if version != VERSION:
-        raise IndexFormatError(f"unsupported version {version}")
-
-    reader = iter_nonempty(lines, start=lineno + 1)
-    lineno, text = _expect(reader, "O", "order line")
-    order = _parse_order(text, lineno, n)
-    index = WCIndex(order, track_parents=bool(tracks))
-
-    for _ in range(n):
-        lineno, text = _expect(reader, "V", "vertex line")
-        parts = text.split()
-        if len(parts) != 3:
-            raise IndexFormatError(f"line {lineno}: bad vertex line {text!r}")
-        try:
-            vertex, count = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise IndexFormatError(f"line {lineno}: bad vertex line") from exc
-        if not 0 <= vertex < n:
-            raise IndexFormatError(f"line {lineno}: vertex {vertex} out of range")
-        for _ in range(count):
-            lineno, text = _expect(reader, "E", "entry line")
-            parts = text.split()
-            expected_len = 5 if tracks else 4
-            if len(parts) != expected_len:
-                raise IndexFormatError(
-                    f"line {lineno}: bad entry line {text!r}"
-                )
-            try:
-                hub = int(parts[1])
-                dist = float(parts[2])
-                quality = float(parts[3])
-                parent = int(parts[4]) if tracks else -1
-            except ValueError as exc:
-                raise IndexFormatError(f"line {lineno}: bad entry line") from exc
-            if not 0 <= hub < n:
-                raise IndexFormatError(f"line {lineno}: hub rank out of range")
-            index.append_entry(vertex, hub, dist, quality, parent)
-    trailing = next(reader, None)
-    if trailing is not None:
-        lineno, text = trailing
-        raise IndexFormatError(
-            f"line {lineno}: trailing data after last vertex block: {text!r}"
-        )
-    return index
-
-
-def iter_nonempty(lines, start: int):
-    """Yield ``(lineno, stripped_line)`` skipping blanks and comments."""
-    for offset, raw in enumerate(lines, start=start):
-        text = raw.strip()
-        if text and not text.startswith("#"):
-            yield (offset, text)
-
-
-def _expect(reader, tag: str, what: str):
-    item = next(reader, None)
-    if item is None:
-        raise IndexFormatError(f"unexpected end of file: missing {what}")
-    lineno, text = item
-    if not text.startswith(tag + " "):
-        raise IndexFormatError(f"line {lineno}: expected {what}, got {text!r}")
-    return lineno, text
-
-
-def _parse_order(text: str, lineno: int, n: int) -> List[int]:
-    try:
-        order = [int(token) for token in text.split()[1:]]
-    except ValueError as exc:
-        raise IndexFormatError(f"line {lineno}: bad order line") from exc
-    if sorted(order) != list(range(n)):
-        raise IndexFormatError(
-            f"line {lineno}: order is not a permutation of 0..{n - 1}"
-        )
-    return order
-
-
 # ----------------------------------------------------------------------
-# Binary frozen format (.wcxb)
+# Saving and loading
 # ----------------------------------------------------------------------
 def _freeze_for_save(index):
     """Normalize any supported index to its frozen engine."""
@@ -1017,8 +824,7 @@ def _validate_side(family, n, offsets, hubs, dists, quals, *parents) -> None:
     minimal-distance one); and the parent columns the family's
     validator accepts.  A file violating them would load but silently
     answer queries wrongly.  Dominated duplicate entries (equal
-    distance/quality) are wasteful but harmless, so — like the text
-    loader — they are accepted.
+    distance/quality) are wasteful but harmless, so they are accepted.
     """
     if n and offsets[0] != 0:
         raise IndexFormatError(f"offset table must start at 0, got {offsets[0]}")

@@ -107,21 +107,15 @@ class _Keyer:
 
         Derived from the engine (not the graph — serving tiers may hold
         only the image): quantization is exact as long as the level set
-        covers every quality a label of *this* engine carries.  A frozen
-        engine's label sides hold every quality in one flat column; a
-        list engine is walked entry by entry.
+        covers every quality a label of *this* engine carries.  Each
+        label side holds every quality in one flat column; a list
+        engine is frozen first.
         """
+        if not hasattr(engine, "sides"):
+            engine = engine.freeze()
         levels = set()
-        if hasattr(engine, "sides"):
-            for side in engine.sides():
-                levels.update(side.quals)
-        elif self._directed:
-            for v in range(self._n):
-                levels.update(q for _, _, q in engine.in_entries_of(v))
-                levels.update(q for _, _, q in engine.out_entries_of(v))
-        else:
-            for v in range(self._n):
-                levels.update(q for _, _, q in engine.entries_of(v))
+        for side in engine.sides():
+            levels.update(side.quals)
         return sorted(levels)
 
     def key_for(self, query) -> Optional[Key]:

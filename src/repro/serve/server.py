@@ -84,8 +84,14 @@ _CHUNKS_PER_WORKER = 4
 _MIN_CHUNK = 512
 
 #: Seconds between liveness checks while waiting for batch results —
-#: the ceiling on how long a dead owner's chunk sits before rerouting.
+#: the ceiling on how long a chunk sits before rerouting when its owner
+#: dies without its result pipe reaching EOF (a pipe at EOF ends the
+#: wait at once).
 _POLL_SECONDS = 0.25
+
+#: Seconds :meth:`QueryServer.close` gives all workers together to
+#: finish their queued work before the laggards are terminated.
+_SHUTDOWN_SECONDS = 10.0
 
 #: Floor on the result-queue wait, so tight deadlines still make progress.
 _MIN_WAIT = 0.005
@@ -166,15 +172,17 @@ def _worker_main(
 
 class _Chunk:
     """One in-flight slice of a batch: where it lands in the answer
-    array, which worker currently owns it, and its retry/deadline state."""
+    array, which worker currently owns it (and that worker's result
+    pipe), and its retry/deadline state."""
 
-    __slots__ = ("start", "queries", "attempts", "owner", "deadline")
+    __slots__ = ("start", "queries", "attempts", "owner", "pipe", "deadline")
 
     def __init__(self, start: int, queries: list) -> None:
         self.start = start
         self.queries = queries
         self.attempts = 0
         self.owner = None
+        self.pipe = None
         self.deadline: Optional[float] = None
 
 
@@ -328,13 +336,22 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Worker table (shared with the supervisor)
     # ------------------------------------------------------------------
+    def _alive(self, slot: int) -> bool:
+        """Whether ``slot``'s worker is alive.  A worker whose result
+        pipe reached EOF is dead even while ``is_alive()`` still lags
+        behind its exit: nothing it answers could be read."""
+        return (
+            self._result_readers[slot] is not None
+            and self._workers[slot].is_alive()
+        )
+
     def _live_workers(self) -> List[Tuple[int, object]]:
         """``(slot, process)`` snapshot of the currently live workers."""
         with self._lock:
             return [
                 (slot, process)
                 for slot, process in enumerate(self._workers)
-                if process.is_alive()
+                if self._alive(slot)
             ]
 
     def worker_states(self) -> List[dict]:
@@ -344,7 +361,7 @@ class QueryServer:
                 {
                     "slot": slot,
                     "pid": process.pid,
-                    "alive": process.is_alive(),
+                    "alive": self._alive(slot),
                     "exitcode": process.exitcode,
                 }
                 for slot, process in enumerate(self._workers)
@@ -366,8 +383,7 @@ class QueryServer:
                 return False
             if not 0 <= slot < len(self._workers):
                 raise ValueError(f"no worker slot {slot}")
-            old = self._workers[slot]
-            if old.is_alive():
+            if self._alive(slot):
                 return False
             old_queue = self._task_queues[slot]
             self._task_queues[slot] = self._context.SimpleQueue()
@@ -386,10 +402,12 @@ class QueryServer:
         :func:`_worker_main`), polled together with
         :func:`multiprocessing.connection.wait`.  A pipe at EOF — its
         worker died, possibly mid-``send``, leaving at most a torn
-        message that dies with the pipe — is retired here; the chunk
-        reroute path re-answers whatever it was carrying.  Only this
-        process's client thread ever reads results, so wait-then-recv
-        cannot race another reader.
+        message that dies with the pipe — is retired here and ends the
+        wait at once (:class:`queue.Empty`), so the caller's repair
+        path reroutes whatever the worker was carrying without waiting
+        for ``is_alive()`` to notice.  Only this process's client
+        thread ever reads results, so wait-then-recv cannot race
+        another reader.
         """
         deadline = time.monotonic() + wait
         while True:
@@ -417,6 +435,7 @@ class QueryServer:
                     return conn.recv()
                 except (EOFError, OSError):
                     self._retire_reader(conn)
+                    raise queue_module.Empty from None
             if time.monotonic() >= deadline:
                 raise queue_module.Empty
 
@@ -434,6 +453,9 @@ class QueryServer:
             conn.close()
         except OSError:
             pass
+        supervisor = self._supervisor
+        if supervisor is not None:
+            supervisor.wake()
 
     # ------------------------------------------------------------------
     # Queries
@@ -565,11 +587,7 @@ class QueryServer:
         """Hand ``chunk`` to the next live worker (round-robin); returns
         ``False`` when no worker is live."""
         with self._lock:
-            live = [
-                (slot, process)
-                for slot, process in enumerate(self._workers)
-                if process.is_alive()
-            ]
+            live = self._live_workers()
             if not live:
                 return False
             slot, process = live[next(self._round_robin) % len(live)]
@@ -579,6 +597,7 @@ class QueryServer:
                 self._redispatches += 1
             chunk.attempts += 1
             chunk.owner = process
+            chunk.pipe = self._result_readers[slot]
             chunk.deadline = (
                 time.monotonic() + timeout if timeout is not None else None
             )
@@ -592,10 +611,11 @@ class QueryServer:
     ) -> None:
         """Redispatch (or fail) every pending chunk whose owner died or
         whose deadline passed.  Called from the result-poll loop on
-        every empty wait."""
+        every empty wait.  An owner is dead once its result pipe is
+        retired at EOF, even before ``is_alive()`` reports it."""
         now = time.monotonic()
         for chunk in list(pending):
-            dead = not chunk.owner.is_alive()
+            dead = chunk.pipe.closed or not chunk.owner.is_alive()
             late = chunk.deadline is not None and now >= chunk.deadline
             if not dead and not late:
                 continue
@@ -707,11 +727,7 @@ class QueryServer:
             raise RuntimeError("query server is closed")
         new_image = ShmIndexImage(source, validate=validate, name=segment_name)
         with self._lock:
-            live = [
-                index
-                for index, process in enumerate(self._workers)
-                if process.is_alive()
-            ]
+            live = [slot for slot, _ in self._live_workers()]
             if not live:
                 new_image.destroy()
                 raise PoolUnavailableError("no live query workers to swap")
@@ -740,8 +756,9 @@ class QueryServer:
                         _POLL_SECONDS
                     )
                 except queue_module.Empty:
+                    live_slots = {slot for slot, _ in self._live_workers()}
                     for job, owner in list(pending.items()):
-                        if not self._workers[owner].is_alive():
+                        if owner not in live_slots:
                             pending.pop(job)
                     continue
                 if job_id not in pending:
@@ -852,11 +869,16 @@ class QueryServer:
             self._release_fallback()
             for tasks in self._task_queues:
                 tasks.put(None)
+        # One deadline for the whole pool, so a stuck pool of N workers
+        # takes as long to close as a stuck pool of one.
+        deadline = time.monotonic() + _SHUTDOWN_SECONDS
         for process in self._workers:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+        laggards = [p for p in self._workers if p.is_alive()]
+        for process in laggards:
+            process.terminate()
+        for process in laggards:
+            process.join(timeout=1.0)
         for tasks in self._task_queues:
             tasks.close()
         with self._lock:

@@ -12,10 +12,11 @@ neither double-unlink the segment nor trip ``resource_tracker`` leak
 warnings.
 
 Every family is the one :class:`~repro.core.frozen.FrozenIndex` engine,
-so one segment layout serves all three.  A ``.wcxb`` path that is
-already a plain v3 image is published byte for byte; a text index or a
-delta-carrying image is re-saved as a canonical v3 image first, and a
-v1/v2 image is rejected with :class:`~repro.core.serialize.IndexFormatError`.
+so one segment layout serves all three.  An image path holding a plain
+v3 image is published byte for byte; a delta-carrying image is re-saved
+as a canonical v3 image first, and a file that is not a v3 image (a
+v1/v2 image, a retired text index) is rejected with
+:class:`~repro.core.serialize.IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from typing import Optional, Union
 from ..core.serialize import (
     attach_frozen,
     describe_frozen,
-    is_binary_index_path,
     load_frozen,
-    load_index,
     save_frozen,
 )
 
@@ -40,27 +39,24 @@ PathLike = Union[str, Path]
 
 def _image_bytes(source, validate: bool) -> bytes:
     """The v3 image of ``source`` — an index engine of any family (list
-    engines are frozen first) or an index path (text indexes and
-    delta-carrying images are normalized to a canonical v3 image so
-    attachers can cast into the segment).
+    engines are frozen first) or an image path (a delta-carrying image
+    is normalized to a canonical v3 image so attachers can cast into
+    the segment).
 
     ``validate`` applies to path sources: the integrity scan runs once
     here, at publish time, because attachers skip it — an engine source
     was produced in-process and needs no scan.
     """
     if isinstance(source, (str, Path)):
-        if not is_binary_index_path(source):
-            source = load_index(source)
-        elif not describe_frozen(source)["deltas"]:
+        if not describe_frozen(source)["deltas"]:
             data = Path(source).read_bytes()
             if validate:
                 attach_frozen(data, validate=True).release()
             return data
-        else:
-            # A delta chain would force every attacher through the
-            # copying splice path; compact it at publish time so the
-            # workers keep their zero-copy attach.
-            source = load_frozen(source, validate=validate)
+        # A delta chain would force every attacher through the copying
+        # splice path; compact it at publish time so the workers keep
+        # their zero-copy attach.
+        source = load_frozen(source, validate=validate)
     buffer = io.BytesIO()
     save_frozen(source, buffer)
     return buffer.getvalue()

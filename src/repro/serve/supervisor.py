@@ -78,6 +78,8 @@ class Supervisor:
         self._events = deque()
         self._degraded = False
         self._stop_event = threading.Event()
+        #: Cuts the poll wait short (:meth:`wake`, :meth:`stop`).
+        self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -96,12 +98,24 @@ class Supervisor:
     def stop(self) -> None:
         """Stop and join the monitor thread (idempotent)."""
         self._stop_event.set()
+        self._wake.set()
         thread, self._thread = self._thread, None
         if thread is not None and thread.is_alive():
             thread.join(timeout=5.0)
 
+    def wake(self) -> None:
+        """Run the next supervision pass now instead of at the end of
+        the poll interval — the server calls this when a worker's result
+        pipe reaches EOF, so a dead worker is replaced without waiting
+        out the poll."""
+        self._wake.set()
+
     def _run(self) -> None:
-        while not self._stop_event.wait(self._poll_interval):
+        while True:
+            self._wake.wait(self._poll_interval)
+            self._wake.clear()
+            if self._stop_event.is_set():
+                return
             try:
                 self.check()
             except Exception:

@@ -1,5 +1,6 @@
 """Tests for WC-INDEX serialization."""
 
+import gzip
 import io
 import struct
 
@@ -7,6 +8,7 @@ import pytest
 
 from tests.helpers import random_graph, thresholds_for
 
+from repro import open_index
 from repro.core import DirectedWCIndex, WCIndexBuilder, WeightedWCIndex, build_wc_index_plus
 from repro.core.frozen import (
     FrozenDirectedWCIndex,
@@ -15,16 +17,17 @@ from repro.core.frozen import (
 )
 from repro.core.serialize import (
     IndexFormatError,
+    attach_frozen,
     describe_frozen,
-    is_binary_index_path,
     load_frozen,
-    load_index,
     save_frozen,
-    save_index,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_figure3
 from repro.graph.weighted import WeightedGraph
+
+#: The head of an index in the retired line-oriented text format.
+TEXT_INDEX = "WCINDEX 1 2 0\nO 0 1\nV 0 1\nE 0 0.0 inf\nV 1 1\nE 1 0.0 inf\n"
 
 
 def section_offset(data: bytes, name: str) -> int:
@@ -36,126 +39,166 @@ def section_offset(data: bytes, name: str) -> int:
     return record["offset"]
 
 
-def round_trip(index):
-    buffer = io.StringIO()
-    save_index(index, buffer)
-    buffer.seek(0)
-    return load_index(buffer)
+def image_of(index) -> bytes:
+    buffer = io.BytesIO()
+    save_frozen(index, buffer)
+    return buffer.getvalue()
+
+
+def family_indexes(track_parents=False):
+    """One small list-backed index of each family."""
+    return [
+        WCIndexBuilder(
+            paper_figure3(), "identity", track_parents=track_parents
+        ).build(),
+        DirectedWCIndex(sample_digraph(), track_parents=track_parents),
+        WeightedWCIndex(sample_weighted_graph(), track_parents=track_parents),
+    ]
+
+
+def round_trip(index, path):
+    """Save ``index`` as an image at ``path``; read it back thawed."""
+    save_frozen(index, path)
+    return load_frozen(path).thaw()
+
+
+def all_queries(n, thresholds):
+    return [(s, t, w) for s in range(n) for t in range(n) for w in thresholds]
 
 
 class TestRoundTrip:
-    def test_entries_preserved(self):
-        index = build_wc_index_plus(paper_figure3(), "identity")
-        loaded = round_trip(index)
-        assert loaded.order == index.order
+    """Image round trips back to the list engine, for every family."""
+
+    def test_entries_preserved(self, tmp_path):
+        for index in family_indexes():
+            loaded = round_trip(index, tmp_path / "index.wcxb")
+            assert type(loaded) is type(index)
+            assert loaded.order == index.order
+            assert loaded.freeze().raw_sides() == index.freeze().raw_sides()
+        index = family_indexes()[0]
+        loaded = round_trip(index, tmp_path / "index.wcxb")
         for v in range(index.num_vertices):
             assert loaded.entries_of(v) == index.entries_of(v)
 
-    def test_answers_preserved(self):
+    def test_answers_preserved(self, tmp_path):
+        path = tmp_path / "index.wcxb"
         for trial in range(6):
             g = random_graph(trial)
             index = build_wc_index_plus(g, "degree")
-            loaded = round_trip(index)
-            for w in thresholds_for(g):
-                for s in g.vertices():
-                    for t in g.vertices():
-                        assert loaded.distance(s, t, w) == index.distance(
-                            s, t, w
-                        )
+            queries = all_queries(g.num_vertices, thresholds_for(g))
+            loaded = round_trip(index, path)
+            assert loaded.distance_many(queries) == index.distance_many(queries)
+        for index in family_indexes()[1:]:
+            queries = all_queries(4, (0.5, 1.0, 2.0, 3.0, 9.0))
+            loaded = round_trip(index, path)
+            assert loaded.distance_many(queries) == index.distance_many(queries)
 
-    def test_parents_preserved(self):
-        g = paper_figure3()
-        index = WCIndexBuilder(g, "identity", track_parents=True).build()
-        loaded = round_trip(index)
-        assert loaded.tracks_parents
-        for v in range(g.num_vertices):
+    def test_parents_preserved(self, tmp_path):
+        for index in family_indexes(track_parents=True):
+            loaded = round_trip(index, tmp_path / "index.wcxb")
+            assert loaded.tracks_parents
+            assert loaded.freeze().raw_sides() == index.freeze().raw_sides()
+        index = family_indexes(track_parents=True)[0]
+        loaded = round_trip(index, tmp_path / "index.wcxb")
+        for v in range(index.num_vertices):
             assert loaded.parent_list(v) == index.parent_list(v)
 
-    def test_infinity_quality_survives(self):
-        index = build_wc_index_plus(paper_figure3(), "identity")
-        loaded = round_trip(index)
-        _, _, quals = loaded.label_lists(0)
-        assert quals[0] == float("inf")
+    def test_infinity_quality_survives(self, tmp_path):
+        for index in family_indexes():
+            loaded = round_trip(index, tmp_path / "index.wcxb")
+            for side in loaded.freeze().sides():
+                assert max(side.quals) == float("inf")
 
     def test_file_round_trip(self, tmp_path):
+        # The format is recognised by its magic bytes, not the file
+        # name: an image saved under any name loads through every path
+        # reader.
         index = build_wc_index_plus(paper_figure3())
-        path = tmp_path / "example.wci"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.entry_count() == index.entry_count()
-
-    def test_gzip_round_trip(self, tmp_path):
-        index = build_wc_index_plus(paper_figure3())
-        path = tmp_path / "example.wci.gz"
-        save_index(index, path)
-        assert load_index(path).entry_count() == index.entry_count()
-        # Must actually be gzip: starts with the magic bytes.
-        assert path.read_bytes()[:2] == b"\x1f\x8b"
+        queries = all_queries(6, (1.0, 2.0, 3.0))
+        expected = index.distance_many(queries)
+        for name in ("example.idx", "EXAMPLE.WCI", "example.wcxb.gz"):
+            path = tmp_path / name
+            save_frozen(index, path)
+            assert path.read_bytes()[:4] == b"WCXB"
+            assert load_frozen(path).distance_many(queries) == expected
+            engine = open_index(path, mode="mmap")
+            assert engine.distance_many(queries) == expected
+            engine.release()
+            assert describe_frozen(path)["variant"] == "undirected"
 
 
 class TestFormatErrors:
-    def test_empty_file(self):
-        with pytest.raises(IndexFormatError, match="empty"):
-            load_index(io.StringIO(""))
+    """Every image reader — read mode from a handle or a path, mmap,
+    zero-copy attach and describe — fails the same bad input with the
+    same typed error; none of them misreads it."""
 
-    def test_bad_magic(self):
-        with pytest.raises(IndexFormatError, match="header"):
-            load_index(io.StringIO("NOTANINDEX 1 2 0\n"))
+    def assert_rejected(self, data, tmp_path, match, *, describe=True):
+        path = tmp_path / "bad.wcxb"
+        path.write_bytes(bytes(data))
+        readers = [
+            lambda: load_frozen(io.BytesIO(bytes(data))),
+            lambda: load_frozen(path),
+            lambda: load_frozen(path, mode="mmap"),
+            lambda: attach_frozen(bytes(data)),
+            lambda: open_index(path),
+        ]
+        if describe:
+            readers.append(lambda: describe_frozen(path))
+        for read in readers:
+            with pytest.raises(IndexFormatError, match=match):
+                read()
 
-    def test_bad_version(self):
-        with pytest.raises(IndexFormatError, match="version"):
-            load_index(io.StringIO("WCINDEX 99 1 0\nO 0\nV 0 0\n"))
+    def figure3_image(self):
+        return bytearray(image_of(build_wc_index_plus(paper_figure3(), "identity")))
 
-    def test_truncated_entries(self):
-        text = "WCINDEX 1 1 0\nO 0\nV 0 2\nE 0 0.0 inf\n"
-        with pytest.raises(IndexFormatError, match="end of file"):
-            load_index(io.StringIO(text))
+    def test_empty_file(self, tmp_path):
+        self.assert_rejected(b"", tmp_path, "truncated")
 
-    def test_order_not_permutation(self):
-        with pytest.raises(IndexFormatError, match="permutation"):
-            load_index(io.StringIO("WCINDEX 1 2 0\nO 0 0\nV 0 0\nV 1 0\n"))
+    def test_bad_magic(self, tmp_path):
+        # Leftover indexes in the retired text format, plain or gzipped,
+        # are never read as images.
+        text = TEXT_INDEX.encode()
+        self.assert_rejected(text, tmp_path, "bad binary magic")
+        self.assert_rejected(gzip.compress(text), tmp_path, "bad binary magic")
 
-    def test_hub_out_of_range(self):
-        text = "WCINDEX 1 1 0\nO 0\nV 0 1\nE 7 0.0 inf\n"
-        with pytest.raises(IndexFormatError, match="hub rank"):
-            load_index(io.StringIO(text))
+    def test_bad_version(self, tmp_path):
+        data = self.figure3_image()
+        struct.pack_into("<H", data, 4, 99)
+        self.assert_rejected(data, tmp_path, "version 99")
 
-    def test_vertex_out_of_range(self):
-        text = "WCINDEX 1 1 0\nO 0\nV 5 0\n"
-        with pytest.raises(IndexFormatError, match="out of range"):
-            load_index(io.StringIO(text))
-
-    def test_malformed_entry(self):
-        text = "WCINDEX 1 1 0\nO 0\nV 0 1\nE zero one two\n"
-        with pytest.raises(IndexFormatError):
-            load_index(io.StringIO(text))
-
-    def test_comments_and_blanks_tolerated(self):
-        index = build_wc_index_plus(paper_figure3())
-        buffer = io.StringIO()
-        save_index(index, buffer)
-        noisy = "# saved index\n\n" + buffer.getvalue()
-        assert load_index(io.StringIO(noisy)).entry_count() == index.entry_count()
-
-    def test_trailing_garbage_rejected(self):
-        # Regression: the reader used to stop after the last vertex block
-        # and silently ignore whatever followed.
-        index = build_wc_index_plus(paper_figure3())
-        buffer = io.StringIO()
-        save_index(index, buffer)
-        for garbage in ("E 0 1.0 1.0\n", "V 0 0\n", "stray tokens\n"):
-            with pytest.raises(IndexFormatError, match="trailing"):
-                load_index(io.StringIO(buffer.getvalue() + garbage))
-
-    def test_trailing_comments_and_blanks_still_ok(self):
-        index = build_wc_index_plus(paper_figure3())
-        buffer = io.StringIO()
-        save_index(index, buffer)
-        padded = buffer.getvalue() + "\n# trailing comment\n\n"
-        assert (
-            load_index(io.StringIO(padded)).entry_count()
-            == index.entry_count()
+    def test_truncated_entries(self, tmp_path):
+        data = self.figure3_image()[:-8]
+        self.assert_rejected(
+            data, tmp_path, "truncated.*section 'quals'", describe=False
         )
+
+    def test_order_not_permutation(self, tmp_path):
+        data = self.figure3_image()
+        order_at = section_offset(data, "order")
+        data[order_at:order_at + 8] = data[order_at + 8:order_at + 16]
+        self.assert_rejected(data, tmp_path, "permutation", describe=False)
+
+    def test_hub_out_of_range(self, tmp_path):
+        data = self.figure3_image()
+        struct.pack_into("<i", data, section_offset(data, "hubs"), 99)
+        self.assert_rejected(data, tmp_path, "hub rank", describe=False)
+
+    def test_vertex_out_of_range(self, tmp_path):
+        data = self.figure3_image()
+        struct.pack_into("<q", data, 12, -1)  # vertex-count field
+        self.assert_rejected(data, tmp_path, "negative vertex count")
+
+    def test_malformed_entry(self, tmp_path):
+        data = self.figure3_image()
+        at = 24 + 16 * 3 + 8  # size stamp of section 3, 'dists'
+        struct.pack_into("<q", data, at, struct.unpack_from("<q", data, at)[0] ^ 8)
+        self.assert_rejected(
+            data, tmp_path, "'dists' size stamp", describe=False
+        )
+
+    def test_trailing_garbage_rejected(self, tmp_path):
+        data = self.figure3_image() + b"garbage!"
+        self.assert_rejected(data, tmp_path, "trailing", describe=False)
 
 
 class TestBinaryFormat:
@@ -207,10 +250,10 @@ class TestBinaryFormat:
     def test_wcxb_path_dispatch(self, tmp_path):
         index = build_wc_index_plus(paper_figure3(), "identity")
         path = tmp_path / "example.wcxb"
-        save_index(index, path)
+        save_frozen(index, path)
         frozen = load_frozen(path)
         assert isinstance(frozen, FrozenWCIndex)
-        thawed = load_index(path)
+        thawed = frozen.thaw()
         assert not isinstance(thawed, FrozenWCIndex)
         for v in range(index.num_vertices):
             assert frozen.entries_of(v) == index.entries_of(v)
@@ -440,51 +483,6 @@ class TestBinaryVariants:
             loaded = self.binary_round_trip(index)
             assert loaded.distance_many(queries) == index.distance_many(queries)
 
-    def test_load_index_thaws_to_list_engines(self, tmp_path):
-        directed = DirectedWCIndex(sample_digraph())
-        path = tmp_path / "d.wcxb"
-        save_index(directed, path)
-        assert isinstance(load_index(path), DirectedWCIndex)
-        weighted = WeightedWCIndex(sample_weighted_graph())
-        path = tmp_path / "w.wcxb"
-        save_index(weighted, path)
-        assert isinstance(load_index(path), WeightedWCIndex)
-
-    def test_text_format_rejects_extensions(self, tmp_path):
-        with pytest.raises(ValueError, match="undirected"):
-            save_index(DirectedWCIndex(sample_digraph()), io.StringIO())
-        with pytest.raises(ValueError, match="undirected"):
-            save_index(
-                WeightedWCIndex(sample_weighted_graph()),
-                tmp_path / "w.wci",
-            )
-        # Regression: the path branch used to open (truncate) the
-        # destination before rejecting, leaving an empty file behind —
-        # or destroying an existing index.
-        assert not (tmp_path / "w.wci").exists()
-        existing = tmp_path / "existing.wci"
-        save_index(build_wc_index_plus(paper_figure3()), existing)
-        before = existing.read_bytes()
-        with pytest.raises(ValueError, match="undirected"):
-            save_index(DirectedWCIndex(sample_digraph()), existing)
-        assert existing.read_bytes() == before
-
-    def test_uppercase_suffix_selects_binary_format(self, tmp_path):
-        # Regression: the suffix dispatch was case-sensitive, so
-        # INDEX.WCXB fell through to the text loader and died with a
-        # confusing parse error.
-        assert is_binary_index_path("INDEX.WCXB")
-        assert is_binary_index_path("index.WcXb")
-        assert not is_binary_index_path("index.wci")
-        index = build_wc_index_plus(paper_figure3(), "identity")
-        path = tmp_path / "INDEX.WCXB"
-        save_index(index, path)
-        assert path.read_bytes()[:4] == b"WCXB"
-        loaded = load_index(path)
-        for v in range(index.num_vertices):
-            assert loaded.entries_of(v) == index.entries_of(v)
-        assert isinstance(load_frozen(path), FrozenWCIndex)
-
     def corrupt_header(self, index):
         buffer = io.BytesIO()
         save_frozen(index, buffer)
@@ -618,14 +616,9 @@ class TestBinaryVariants:
 class TestV3Layout:
     """The attachable v3 image: alignment, size stamps, describe."""
 
-    def image_of(self, index) -> bytes:
-        buffer = io.BytesIO()
-        save_frozen(index, buffer)
-        return buffer.getvalue()
-
     def test_sections_are_aligned_and_size_stamped(self):
         g = random_graph(3)
-        data = self.image_of(build_wc_index_plus(g, "degree"))
+        data = image_of(build_wc_index_plus(g, "degree"))
         described = describe_frozen(io.BytesIO(data))
         assert described["format_version"] == 3
         assert described["variant"] == "undirected"
@@ -638,14 +631,14 @@ class TestV3Layout:
         assert previous_end == len(data)
 
     def test_describe_names_all_variants(self):
-        directed = self.image_of(DirectedWCIndex(sample_digraph()))
+        directed = image_of(DirectedWCIndex(sample_digraph()))
         names = [
             s["name"]
             for s in describe_frozen(io.BytesIO(directed))["sections"]
         ]
         assert names[:2] == ["order", "in_offsets"]
         assert "out_hubs" in names
-        weighted = self.image_of(
+        weighted = image_of(
             WeightedWCIndex(sample_weighted_graph(), track_parents=True)
         )
         described = describe_frozen(io.BytesIO(weighted))
@@ -656,7 +649,7 @@ class TestV3Layout:
         ]
 
     def test_truncated_file_names_the_section(self):
-        data = self.image_of(build_wc_index_plus(paper_figure3(), "identity"))
+        data = image_of(build_wc_index_plus(paper_figure3(), "identity"))
         with pytest.raises(IndexFormatError, match="section 'quals'"):
             load_frozen(io.BytesIO(data[:-8]))
         # Clipped all the way into the hubs section.
@@ -666,7 +659,7 @@ class TestV3Layout:
 
     def test_bit_flipped_table_is_a_clean_error(self):
         data = bytearray(
-            self.image_of(build_wc_index_plus(paper_figure3(), "identity"))
+            image_of(build_wc_index_plus(paper_figure3(), "identity"))
         )
         for at in range(24, 24 + 16 * 5, 8):
             corrupt = bytearray(data)
@@ -677,7 +670,7 @@ class TestV3Layout:
     def test_empty_order_image_round_trips(self):
         from repro.graph.graph import Graph
 
-        data = self.image_of(build_wc_index_plus(Graph(0)))
+        data = image_of(build_wc_index_plus(Graph(0)))
         loaded = load_frozen(io.BytesIO(data))
         assert loaded.num_vertices == 0
 

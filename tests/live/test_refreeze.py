@@ -272,10 +272,9 @@ class TestDeltaBlobs:
         assert image_bytes(load_frozen(path)) == canonical
         attached = attach_frozen(path.read_bytes())
         assert image_bytes(attached) == canonical
-        # The thawing loader resolves too.
-        from repro.core import load_index
-
-        assert load_index(path).entry_count() == live.index.entry_count()
+        # The thawed list engine resolves too.
+        thawed = load_frozen(path).thaw()
+        assert thawed.entry_count() == live.index.entry_count()
 
     def test_describe_reports_the_chain(self, tmp_path):
         live, old, path = self._updated(tmp_path)

@@ -9,7 +9,6 @@ from repro.core import (
     WeightedWCIndex,
     build_wc_index_plus,
     save_frozen,
-    save_index,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_figure3
@@ -91,19 +90,6 @@ class TestShmIndexImage:
         with ShmIndexImage(str(path), validate=False) as image:
             with attach_image(image.name) as attached:
                 assert attached.engine.entry_count() == index.entry_count()
-
-    def test_publish_from_text_path_normalizes(self, tmp_path):
-        # A text index (and, by the same normalization, legacy binary
-        # versions) is converted to the attachable v3 layout on publish.
-        index = build_wc_index_plus(paper_figure3(), "identity")
-        path = tmp_path / "net.wci"
-        save_index(index, path)
-        with ShmIndexImage(str(path)) as image:
-            with attach_image(image.name) as attached:
-                for v in range(index.num_vertices):
-                    assert (
-                        attached.engine.entries_of(v) == index.entries_of(v)
-                    )
 
     def test_attach_engine_in_process(self):
         index = build_wc_index_plus(paper_figure3(), "identity")

@@ -7,9 +7,9 @@ from repro import open_index
 from repro.core import build_wc_index_plus, save_frozen
 from repro.core.frozen import FrozenWCIndex
 from repro.core.labels import WCIndex
-from repro.core.serialize import save_index
+from repro.core.serialize import IndexFormatError, load_frozen
 from repro.graph.generators import scale_free_network
-from repro.serve import ShmIndexImage
+from repro.serve import QueryServer, ShmIndexImage
 from repro.workloads.queries import random_queries
 
 
@@ -36,9 +36,10 @@ def binary_path(index, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def text_path(index, tmp_path_factory):
+def text_path(tmp_path_factory):
+    """An index file in the retired line-oriented text format."""
     path = tmp_path_factory.mktemp("api") / "index.wci"
-    save_index(index, path)
+    path.write_text("WCINDEX 1 2 0\nO 0 1\nV 0 1\nE 0 0.0 inf\n")
     return path
 
 
@@ -46,16 +47,8 @@ class TestDispatch:
     def test_binary_auto_is_frozen(self, binary_path):
         assert isinstance(open_index(binary_path), FrozenWCIndex)
 
-    def test_text_auto_is_list(self, text_path):
-        assert isinstance(open_index(text_path), WCIndex)
-
-    def test_text_frozen_freezes(self, text_path):
-        assert isinstance(
-            open_index(text_path, engine="frozen"), FrozenWCIndex
-        )
-
     def test_binary_list_thaws(self, binary_path):
-        assert isinstance(open_index(binary_path, engine="list"), WCIndex)
+        assert isinstance(open_index(binary_path).thaw(), WCIndex)
 
     def test_binary_mmap(self, binary_path, index, workload):
         engine = open_index(binary_path, mode="mmap")
@@ -82,24 +75,19 @@ class TestDispatch:
                 )
 
     def test_every_mode_answers_identically(
-        self, binary_path, text_path, index, workload
+        self, binary_path, index, workload
     ):
         expected = index.distance_many(workload)
         engines = [
             open_index(binary_path),
-            open_index(binary_path, engine="list"),
             open_index(binary_path, mode="mmap"),
-            open_index(text_path),
-            open_index(text_path, engine="frozen"),
         ]
         try:
-            for engine in engines:
+            for engine in engines + [engines[0].thaw()]:
                 assert engine.distance_many(workload) == expected
         finally:
             for engine in engines:
-                release = getattr(engine, "release", None)
-                if release is not None:
-                    release()
+                engine.release()
 
     def test_accepts_str_paths(self, binary_path, workload):
         engine = open_index(str(binary_path))
@@ -116,20 +104,41 @@ class TestDispatch:
 
 class TestValidation:
     def test_unknown_engine(self, binary_path):
-        with pytest.raises(ValueError, match="unknown engine"):
-            open_index(binary_path, engine="turbo")
+        # There is one engine per image; nothing to choose.
+        with pytest.raises(TypeError, match="engine"):
+            open_index(binary_path, engine="frozen")
 
     def test_unknown_mode(self, binary_path):
         with pytest.raises(ValueError, match="unknown mode"):
             open_index(binary_path, mode="warp")
 
-    def test_list_engine_has_no_mmap(self, binary_path):
-        with pytest.raises(ValueError, match="list engine"):
-            open_index(binary_path, engine="list", mode="mmap")
-
     def test_mmap_needs_binary(self, text_path):
-        with pytest.raises(ValueError, match="binary .wcxb"):
+        with pytest.raises(IndexFormatError, match="bad binary magic"):
             open_index(text_path, mode="mmap")
+
+    def test_text_index_rejected_by_every_reader(self, text_path, tmp_path):
+        from repro.__main__ import main
+
+        before = text_path.read_bytes()
+        for mode in ("read", "mmap"):
+            with pytest.raises(IndexFormatError, match="bad binary magic"):
+                open_index(text_path, mode=mode)
+            with pytest.raises(IndexFormatError, match="bad binary magic"):
+                load_frozen(text_path, mode=mode)
+        with pytest.raises(IndexFormatError, match="bad binary magic"):
+            QueryServer(str(text_path), workers=1)
+        with pytest.raises(SystemExit, match="query: bad binary magic"):
+            main(["query", "--index", str(text_path), "0", "1", "1.0"])
+        graph = tmp_path / "net.edges"
+        graph.write_text("0 1 1.0\n")
+        ops = tmp_path / "batch.ops"
+        ops.write_text("insert 0 1 2.0\n")
+        with pytest.raises(SystemExit, match="update: bad binary magic"):
+            main(
+                ["update", "--index", str(text_path), "--graph", str(graph),
+                 "--updates", str(ops)]
+            )
+        assert text_path.read_bytes() == before
 
     def test_path_modes_reject_buffers(self):
         with pytest.raises(TypeError, match="opens a path"):

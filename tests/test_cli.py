@@ -8,6 +8,14 @@ from repro.graph.io import write_edge_list
 
 
 @pytest.fixture
+def text_index_file(tmp_path):
+    """An index file in the retired line-oriented text format."""
+    path = tmp_path / "net.wci"
+    path.write_text("WCINDEX 1 2 0\nO 0 1\nV 0 1\nE 0 0.0 inf\n")
+    return path
+
+
+@pytest.fixture
 def graph_file(tmp_path):
     path = tmp_path / "net.edges"
     write_edge_list(paper_figure3(), path)
@@ -16,7 +24,7 @@ def graph_file(tmp_path):
 
 @pytest.fixture
 def index_file(graph_file, tmp_path):
-    path = tmp_path / "net.wci"
+    path = tmp_path / "net.wcxb"
     code = main(
         ["build", "--graph", str(graph_file), "--out", str(path),
          "--ordering", "identity"]
@@ -27,19 +35,23 @@ def index_file(graph_file, tmp_path):
 
 class TestBuild:
     def test_build_reports_entries(self, graph_file, tmp_path, capsys):
-        out = tmp_path / "x.wci"
+        out = tmp_path / "x.wcxb"
         assert main(["build", "--graph", str(graph_file), "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "entries" in text and "6 vertices" in text
         assert out.exists()
 
-    def test_build_gzip(self, graph_file, tmp_path):
+    def test_build_gzip(self, graph_file, tmp_path, capsys):
+        # The file name selects nothing: a .gz --out is a plain image.
         out = tmp_path / "x.wci.gz"
         assert main(["build", "--graph", str(graph_file), "--out", str(out)]) == 0
-        assert out.read_bytes()[:2] == b"\x1f\x8b"
+        assert out.read_bytes()[:4] == b"WCXB"
+        capsys.readouterr()
+        assert main(["query", "--index", str(out), "2", "5", "2.0"]) == 0
+        assert "2 5 2 -> 2" in capsys.readouterr().out
 
     def test_build_with_paths(self, graph_file, tmp_path, capsys):
-        out = tmp_path / "p.wci"
+        out = tmp_path / "p.wcxb"
         assert (
             main(
                 ["build", "--graph", str(graph_file), "--out", str(out), "--paths"]
@@ -53,13 +65,13 @@ class TestBuild:
 
 class TestBuildFromDataset:
     def test_build_named_dataset(self, tmp_path, capsys):
-        out = tmp_path / "ny.wci"
+        out = tmp_path / "ny.wcxb"
         assert main(["build", "--dataset", "NY", "--out", str(out)]) == 0
         assert out.exists()
         assert "entries" in capsys.readouterr().out
 
     def test_graph_and_dataset_mutually_exclusive(self, graph_file, tmp_path):
-        out = tmp_path / "x.wci"
+        out = tmp_path / "x.wcxb"
         with pytest.raises(SystemExit, match="exactly one"):
             main(
                 ["build", "--graph", str(graph_file), "--dataset", "NY",
@@ -123,21 +135,26 @@ class TestFrozenEngine:
         assert "2 5 2 -> 2" in capsys.readouterr().out
 
     def test_query_list_engine_from_wcxb(self, binary_index_file, capsys):
+        # The list engine is no longer a query engine choice; the
+        # default answers through the frozen engine.
+        with pytest.raises(SystemExit):
+            main(
+                ["query", "--engine", "list", "--index",
+                 str(binary_index_file), "2", "5", "2.0"]
+            )
+        assert "invalid choice: 'list'" in capsys.readouterr().err
         assert (
             main(["query", "--index", str(binary_index_file), "2", "5", "2.0"])
             == 0
         )
         assert "2 5 2 -> 2" in capsys.readouterr().out
 
-    def test_query_frozen_from_text_index(self, index_file, capsys):
-        assert (
+    def test_query_frozen_from_text_index(self, text_index_file):
+        with pytest.raises(SystemExit, match="query: bad binary magic"):
             main(
-                ["query", "--engine", "frozen", "--index", str(index_file),
-                 "0", "4", "1.0"]
+                ["query", "--engine", "frozen", "--index",
+                 str(text_index_file), "0", "1", "1.0"]
             )
-            == 0
-        )
-        assert "0 4 1 -> 2" in capsys.readouterr().out
 
     def test_engines_agree_on_stdin_batch(
         self, index_file, binary_index_file, capsys, monkeypatch
@@ -159,17 +176,15 @@ class TestFrozenEngine:
         assert capsys.readouterr().out == expected
 
     def test_build_engine_frozen_flag(self, graph_file, tmp_path, capsys):
-        out = tmp_path / "f.wci"
-        assert (
+        # Every build is frozen and saved as an image: no --engine flag.
+        out = tmp_path / "f.wcxb"
+        with pytest.raises(SystemExit):
             main(
                 ["build", "--graph", str(graph_file), "--out", str(out),
                  "--engine", "frozen"]
             )
-            == 0
-        )
-        assert "entries" in capsys.readouterr().out
-        # Frozen build saved through the text format stays loadable.
-        assert main(["stats", "--index", str(out)]) == 0
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stats_reports_frozen_bytes(self, binary_index_file, capsys):
         assert main(["stats", "--index", str(binary_index_file)]) == 0
@@ -200,11 +215,11 @@ class TestFrozenEngine:
         )
         assert "2 5 2 -> 2" in capsys.readouterr().out
 
-    def test_query_mmap_engine_needs_binary(self, index_file):
-        with pytest.raises(SystemExit, match="wcxb"):
+    def test_query_mmap_engine_needs_binary(self, text_index_file):
+        with pytest.raises(SystemExit, match="query: bad binary magic"):
             main(
-                ["query", "--engine", "mmap", "--index", str(index_file),
-                 "2", "5", "2.0"]
+                ["query", "--engine", "mmap", "--index",
+                 str(text_index_file), "0", "1", "1.0"]
             )
 
 
@@ -416,7 +431,7 @@ class TestExtensionBuilds:
             == 0
         )
         capsys.readouterr()
-        for engine in ("frozen", "list"):
+        for engine in ("frozen", "mmap"):
             assert (
                 main(
                     ["query", "--engine", engine, "--index", str(out),
@@ -441,7 +456,7 @@ class TestExtensionBuilds:
             == 0
         )
         capsys.readouterr()
-        for engine in ("frozen", "list"):
+        for engine in ("frozen", "mmap"):
             assert (
                 main(
                     ["query", "--engine", engine, "--index", str(out),
@@ -459,12 +474,17 @@ class TestExtensionBuilds:
         assert main(["stats", "--index", str(out)]) == 0
         assert "FrozenDirectedWCIndex" in capsys.readouterr().out
 
-    def test_extensions_require_binary_out(self, arcs_file, tmp_path):
-        with pytest.raises(SystemExit, match="wcxb"):
-            main(
-                ["build", "--graph", str(arcs_file), "--directed",
-                 "--out", str(tmp_path / "d.wci")]
-            )
+    def test_extensions_require_binary_out(self, arcs_file, tmp_path, capsys):
+        # Every family saves the same image format, whatever --out says.
+        out = tmp_path / "d.wci"
+        assert main(
+            ["build", "--graph", str(arcs_file), "--directed",
+             "--out", str(out)]
+        ) == 0
+        assert out.read_bytes()[:4] == b"WCXB"
+        capsys.readouterr()
+        assert main(["stats", "--index", str(out)]) == 0
+        assert "FrozenDirectedWCIndex" in capsys.readouterr().out
 
     def test_directed_and_weighted_exclusive(self, arcs_file, tmp_path):
         with pytest.raises(SystemExit, match="exclusive"):
@@ -506,9 +526,9 @@ class TestExtensionBuilds:
 
 class TestSuffixCaseInsensitivity:
     def test_uppercase_wcxb_round_trips(self, graph_file, tmp_path, capsys):
-        # Regression: the CLI suffix dispatch was case-sensitive, so an
-        # uppercase .WCXB fell through to the text loader and died with
-        # a confusing parse error.
+        # Regression: the CLI once dispatched on a case-sensitive
+        # suffix, so an uppercase .WCXB was misread; the format is now
+        # recognised by its magic bytes alone.
         out = tmp_path / "NET.WCXB"
         assert (
             main(
@@ -539,12 +559,12 @@ class TestProfileCommand:
         assert "dist 2" in out and "dist 4" in out
 
     def test_disconnected_profile(self, tmp_path, capsys):
-        from repro.core import build_wc_index_plus, save_index
+        from repro.core import build_wc_index_plus, save_frozen
         from repro.graph.graph import Graph
 
         index = build_wc_index_plus(Graph(3, [(0, 1, 1.0)]))
-        path = tmp_path / "d.wci"
-        save_index(index, path)
+        path = tmp_path / "d.wcxb"
+        save_frozen(index, path)
         assert main(["profile", "--index", str(path), "0", "2"]) == 0
         assert "disconnected" in capsys.readouterr().out
 
@@ -566,13 +586,20 @@ class TestStatsAndVerify:
         assert "VERDICT: OK" in capsys.readouterr().out
 
     def test_verify_detects_corruption(self, graph_file, index_file, capsys):
-        # Corrupt the saved index: double one entry's distance.
-        text = index_file.read_text().splitlines()
-        for i, line in enumerate(text):
-            if line.startswith("E ") and " 1.0 " in line:
-                text[i] = line.replace(" 1.0 ", " 3.0 ", 1)
-                break
-        index_file.write_text("\n".join(text) + "\n")
+        from repro.core import load_frozen, save_frozen
+
+        # Corrupt the saved index: triple the distance of an entry that
+        # is alone in its hub group, so the image stays well-formed and
+        # only the labels' meaning is wrong.
+        index = load_frozen(index_file).thaw()
+        dists, i = next(
+            (dists, i)
+            for hubs, dists, _ in map(index.label_lists, range(6))
+            for i, hub in enumerate(hubs)
+            if dists[i] == 1.0 and hubs.count(hub) == 1
+        )
+        dists[i] = 3.0
+        save_frozen(index, index_file)
         code = main(
             ["verify", "--graph", str(graph_file), "--index", str(index_file)]
         )
@@ -706,13 +733,17 @@ class TestUpdateCommand:
         assert "graph written back" not in capsys.readouterr().err
         assert graph_file.read_bytes() == before
 
-    def test_rejects_text_indexes(self, graph_file, index_file, tmp_path):
+    def test_rejects_text_indexes(
+        self, graph_file, text_index_file, tmp_path
+    ):
         ops = self.write_ops(tmp_path, "insert 0 5 9.0\n")
-        with pytest.raises(SystemExit, match="wcxb"):
+        before = text_index_file.read_bytes()
+        with pytest.raises(SystemExit, match="update: bad binary magic"):
             main(
-                ["update", "--index", str(index_file), "--graph",
+                ["update", "--index", str(text_index_file), "--graph",
                  str(graph_file), "--updates", str(ops)]
             )
+        assert text_index_file.read_bytes() == before
 
     def test_queries_require_pool(self, graph_file, binary_index, tmp_path):
         ops = self.write_ops(tmp_path, "insert 0 5 9.0\n")

@@ -17,9 +17,9 @@ from repro.core import (
     WCPathIndex,
     collect_statistics,
     distance_profile,
-    load_index,
+    load_frozen,
     profile_distance,
-    save_index,
+    save_frozen,
 )
 from repro.core.paths import is_valid_w_path, path_length
 from repro.graph.generators import grid_road_network, scale_free_network
@@ -51,9 +51,9 @@ class TestFullPipeline:
         path_index = WCPathIndex.build(graph)
         oracle = ConstrainedBFS(graph)
 
-        index_path = tmp_path / "road.wci.gz"
-        save_index(index, index_path)
-        served = load_index(index_path)
+        index_path = tmp_path / "road.wcxb"
+        save_frozen(index, index_path)
+        served = load_frozen(index_path)
 
         workload = random_queries(graph, 150, seed=3)
         answers = served.distance_many(workload)
@@ -131,10 +131,10 @@ class TestDynamicLifecycle:
         graph = scale_free_network(60, 3, num_qualities=4, seed=8)
         dyn = DynamicWCIndex(graph.copy())
         dyn.insert_edge(0, 59, 4.0)
-        buffer = io.StringIO()
-        save_index(dyn.index, buffer)
+        buffer = io.BytesIO()
+        save_frozen(dyn.index, buffer)
         buffer.seek(0)
-        served = load_index(buffer)
+        served = load_frozen(buffer)
         oracle = ConstrainedBFS(dyn.graph)
         for s, t, w in random_queries(dyn.graph, 80, seed=7):
             assert served.distance(s, t, w) == oracle.distance(s, t, w)
